@@ -29,7 +29,7 @@
 //   ATMX_AUDIT_OUT  path; when set (and ATMX_OBS=ON) the bench records
 //                   the prediction-vs-outcome audit ledger and writes the
 //                   schema-versioned JSON there at exit (replayed by
-//                   `atmx audit` / tools/audit_report.py)
+//                   `atmx audit`)
 
 #ifndef ATMX_BENCH_BENCH_COMMON_H_
 #define ATMX_BENCH_BENCH_COMMON_H_

@@ -19,9 +19,7 @@
 #include "morton/morton.h"
 #include "ops/atmult.h"
 #include "ops/chain.h"
-#include "ops/elementwise.h"
 #include "ops/explain.h"
-#include "ops/norms.h"
 #include "ops/retile.h"
 #include "ops/spmv.h"
 #include "ops/transpose.h"

@@ -12,10 +12,9 @@
 // Each record observes a bounded symmetric relative error into an
 // `estimator.err.<class>` histogram (OpenMetrics `/metrics`, flight
 // recorder tail) and is retained for the schema-versioned JSON ledger
-// file (`--audit-out` / `ATMX_AUDIT_OUT`). `atmx audit` and
-// tools/audit_report.py replay a ledger offline: error distributions
-// (p50/p95/max), worst-N mispredictions, and a counterfactual pass that
-// re-runs the cost model with *measured* inputs to count "regret"
+// file (`--audit-out` / `ATMX_AUDIT_OUT`). `atmx audit` replays a ledger
+// offline: error distributions (p50/p95/max), worst-N mispredictions, and
+// a counterfactual pass that re-runs the cost model with *measured* inputs to count "regret"
 // decisions — choices that would flip with perfect estimates. See
 // docs/OBSERVABILITY.md ("Prediction audit").
 //
@@ -50,8 +49,8 @@ inline constexpr int kAuditLedgerSchemaVersion = 1;
 double SymmetricRelError(double predicted, double actual);
 
 // Nearest-rank percentile over an unsorted sample (q in [0, 1]); 0 for
-// an empty sample. tools/audit_report.py mirrors this definition
-// exactly: rank = max(0, ceil(q * count) - 1) over the sorted sample.
+// an empty sample: rank = max(0, ceil(q * count) - 1) over the sorted
+// sample.
 double Percentile(std::vector<double> values, double q);
 
 // ---- Ledger records, one struct per decision class ----
@@ -154,7 +153,7 @@ std::string RenderAuditLedgerJson(const AuditLedgerDoc& doc);
 [[nodiscard]] Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text);
 [[nodiscard]] Result<AuditLedgerDoc> LoadAuditLedger(const std::string& path);
 
-// ---- Offline report (the `atmx audit` / audit_report.py contract) ----
+// ---- Offline report (the `atmx audit` contract) ----
 
 struct AuditErrorStats {
   std::size_t count = 0;

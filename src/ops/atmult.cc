@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -220,14 +219,8 @@ ATMatrix AtMult::MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
   std::atomic<std::uint64_t> op_tracked_bytes{0};
 #endif
 
-  // Per-atomic-block non-zero counts of the result, accumulated in-task
-  // while the produced tile is still cache-hot (C tiles cover disjoint,
-  // block-aligned regions, so tasks write disjoint grid cells). This grid
-  // becomes the result's density map without a second full pass.
+  // Filled task by task (each task sets its own region's cells).
   DensityMap c_map(a.rows(), b.cols(), block);
-  const index_t grid_cols = c_map.grid_cols();
-  std::vector<double> block_counts(
-      static_cast<std::size_t>(c_map.grid_rows()) * grid_cols, 0.0);
 
   const int teams = config_.EffectiveTeams();
   const int threads = config_.EffectiveThreadsPerTeam();
@@ -251,8 +244,7 @@ ATMatrix AtMult::MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
       b_injected ? ConversionCache::kLeft : ConversionCache::kRight;
   pctx.c_init = c_init;
   pctx.c_tiles = &c_tiles;
-  pctx.block_counts = &block_counts;
-  pctx.grid_cols = grid_cols;
+  pctx.c_map = &c_map;
   pctx.stats = stats;
   pctx.stats_mutex = &stats_mutex;
 #if defined(ATMX_OBS_ENABLED)
@@ -267,67 +259,32 @@ ATMatrix AtMult::MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
   }
 #endif
 
-  auto run_task = [&](WorkerTeam& team, index_t task) {
-    internal::RunProductTileTask(pctx, team, task);
-  };
-
-
+  std::vector<double> task_cost;  // outlives sched_options.cost_of
   ScheduleOptions sched_options;
   sched_options.work_stealing = config_.work_stealing;
   if (config_.work_stealing && num_tasks > 0) {
-    // Per-task FLOP/byte cost estimates for LPT queue ordering, O(1) per
-    // task from per-band aggregate densities (the per-pair refinement
-    // happens later inside the task; queue order only needs magnitudes).
-    const index_t k_blocks = CeilDiv(a.cols(), block);
-    std::vector<double> rho_a_band(static_cast<std::size_t>(num_ti));
-    for (index_t ti = 0; ti < num_ti; ++ti) {
-      const index_t r0 = a.row_bounds()[ti];
-      const index_t m = a.row_bounds()[ti + 1] - r0;
-      rho_a_band[static_cast<std::size_t>(ti)] = a.density_map().RegionDensity(
-          r0 / block, 0, CeilDiv(m, block), k_blocks);
-    }
-    std::vector<double> rho_b_band(static_cast<std::size_t>(num_tj));
-    for (index_t tj = 0; tj < num_tj; ++tj) {
-      const index_t c0 = b.col_bounds()[tj];
-      const index_t n = b.col_bounds()[tj + 1] - c0;
-      rho_b_band[static_cast<std::size_t>(tj)] = b.density_map().RegionDensity(
-          0, c0 / block, k_blocks, CeilDiv(n, block));
-    }
-    auto task_cost = std::make_shared<std::vector<double>>(
-        static_cast<std::size_t>(num_tasks));
-    for (index_t task = 0; task < num_tasks; ++task) {
-      const index_t ti = task / num_tj;
-      const index_t tj = task % num_tj;
-      MultiplyShape shape;
-      shape.m = a.row_bounds()[ti + 1] - a.row_bounds()[ti];
-      shape.k = a.cols();
-      shape.n = b.col_bounds()[tj + 1] - b.col_bounds()[tj];
-      shape.rho_a = rho_a_band[static_cast<std::size_t>(ti)];
-      shape.rho_b = rho_b_band[static_cast<std::size_t>(tj)];
-      if (use_estimate) {
-        shape.rho_c = estimate.RegionDensity(
-            a.row_bounds()[ti] / block, b.col_bounds()[tj] / block,
-            CeilDiv(shape.m, block), CeilDiv(shape.n, block));
-      }
-      (*task_cost)[static_cast<std::size_t>(task)] =
-          EstimateTaskCost(cost_model_, shape);
-    }
-    sched_options.cost_of = [task_cost](index_t task) {
-      return (*task_cost)[static_cast<std::size_t>(task)];
+    internal::AppendProductTaskCosts(
+        cost_model_, a.density_map(), b.density_map(), a.row_bounds(),
+        b.col_bounds(), use_estimate ? &estimate : nullptr, &task_cost);
+    sched_options.cost_of = [&task_cost](index_t task) {
+      return task_cost[static_cast<std::size_t>(task)];
     };
   }
   ScheduleStats sched_stats;
-  scheduler.RunTasks(
-      num_tasks,
+  scheduler.RunTaskGraph(
+      num_tasks, /*dep_count=*/{}, /*successors=*/{},
       [&](index_t task) {
         // Tasks follow their A tile-row's round-robin home (III-F); with
-        // work stealing this is the *initial* queue, and run_task accounts
+        // work stealing this is the *initial* queue, and the task accounts
         // locality against the team that actually executes (its
         // WorkerTeam::team_id), so stolen tasks honestly show up as remote
         // reads of their A tiles.
         return static_cast<int>((task / num_tj) % teams);
       },
-      run_task, sched_options, &sched_stats);
+      [&](WorkerTeam& team, index_t task) {
+        internal::RunProductTileTask(pctx, team, task);
+      },
+      sched_options, &sched_stats);
   stats->tasks_stolen = static_cast<index_t>(sched_stats.TotalSteals());
   stats->team_busy_seconds = sched_stats.busy_seconds;
   stats->team_cpu_seconds = sched_stats.cpu_seconds;
@@ -340,21 +297,6 @@ ATMatrix AtMult::MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
       a_cache->dense_to_sparse_count() +
       (b_cache == a_cache ? 0 : b_cache->dense_to_sparse_count()) -
       d2s_before;
-  for (const Tile& t : c_tiles) {
-    if (t.is_dense()) {
-      stats->dense_result_tiles++;
-    } else {
-      stats->sparse_result_tiles++;
-    }
-  }
-
-  for (index_t bi = 0; bi < c_map.grid_rows(); ++bi) {
-    for (index_t bj = 0; bj < grid_cols; ++bj) {
-      const double area = static_cast<double>(c_map.BlockArea(bi, bj));
-      c_map.Set(bi, bj,
-                area > 0 ? block_counts[bi * grid_cols + bj] / area : 0.0);
-    }
-  }
   ATMatrix result(a.rows(), b.cols(), block, std::move(c_tiles),
                   std::move(c_map));
   stats->total_seconds = total_timer.ElapsedSeconds();

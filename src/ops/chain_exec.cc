@@ -106,10 +106,9 @@ struct ProductNode {
   std::vector<Tile> tiles;
   std::vector<index_t> row_bounds;
   std::vector<index_t> col_bounds;
-  DensityMap map;                    // actual densities, filled per task
-  std::vector<double> block_counts;  // per-atomic-block nnz counts
-  DensityMap estimate;               // estimator output, filled per task
-  DensityMap planned_map;            // planning-time estimate (LPT costs)
+  DensityMap map;          // actual densities, filled per task
+  DensityMap estimate;     // estimator output, filled per task
+  DensityMap planned_map;  // planning-time estimate (LPT costs)
 
   // JIT conversions of this node's result tiles, when a consuming task
   // prefers the other representation.
@@ -304,9 +303,6 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     const index_t cols = node.col_bounds.back();
     node.tiles.resize(static_cast<std::size_t>(node.num_ti * node.num_tj));
     node.map = DensityMap(rows, cols, block);
-    node.block_counts.assign(static_cast<std::size_t>(node.map.grid_rows()) *
-                                 static_cast<std::size_t>(node.map.grid_cols()),
-                             0.0);
     if (config.density_estimation) {
       node.estimate = DensityMap(rows, cols, block);
     }
@@ -350,8 +346,7 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     ctx.a_cache_side = ConversionCache::kLeft;
     ctx.b_cache_side = ConversionCache::kLeft;
     ctx.c_tiles = &node.tiles;
-    ctx.block_counts = &node.block_counts;
-    ctx.grid_cols = node.map.grid_cols();
+    ctx.c_map = &node.map;
     ctx.stats = &node.stats;
     ctx.stats_mutex = &stats_mutex;
     node.stats.effective_write_threshold = ctx.rho_w;
@@ -436,60 +431,25 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   // maps; here intermediates have no actual map until they materialize, so
   // queue order uses the estimator's planned maps instead (order is a
   // performance hint only — results are unaffected).
+  std::vector<double> task_cost;  // outlives sched_options.cost_of
   ScheduleOptions sched_options;
   sched_options.work_stealing = config.work_stealing;
   if (config.work_stealing && total_tasks > 0) {
-    auto task_cost = std::make_shared<std::vector<double>>(
-        static_cast<std::size_t>(total_tasks));
-    for (auto& node_ptr : nodes) {
+    task_cost.reserve(static_cast<std::size_t>(total_tasks));
+    for (auto& node_ptr : nodes) {  // offset order: appends line up
       ProductNode& node = *node_ptr;
       const DensityMap& amap = LeftPlannedMap(chain, nodes, node);
       const DensityMap& bmap = RightPlannedMap(chain, nodes, node);
       if (node.planned_map.rows() == 0) {  // not seeded by the budget plan
         node.planned_map = EstimateProductDensity(amap, bmap);
       }
-      const index_t k = amap.cols();
-      const index_t k_blocks = CeilDiv(k, block);
-      std::vector<double> rho_a_band(static_cast<std::size_t>(node.num_ti));
-      for (index_t ti = 0; ti < node.num_ti; ++ti) {
-        const index_t r0 = node.row_bounds[static_cast<std::size_t>(ti)];
-        const index_t m =
-            node.row_bounds[static_cast<std::size_t>(ti) + 1] - r0;
-        rho_a_band[static_cast<std::size_t>(ti)] =
-            amap.RegionDensity(r0 / block, 0, CeilDiv(m, block), k_blocks);
-      }
-      std::vector<double> rho_b_band(static_cast<std::size_t>(node.num_tj));
-      for (index_t tj = 0; tj < node.num_tj; ++tj) {
-        const index_t c0 = node.col_bounds[static_cast<std::size_t>(tj)];
-        const index_t w =
-            node.col_bounds[static_cast<std::size_t>(tj) + 1] - c0;
-        rho_b_band[static_cast<std::size_t>(tj)] =
-            bmap.RegionDensity(0, c0 / block, k_blocks, CeilDiv(w, block));
-      }
-      for (index_t ti = 0; ti < node.num_ti; ++ti) {
-        for (index_t tj = 0; tj < node.num_tj; ++tj) {
-          MultiplyShape shape;
-          shape.m = node.row_bounds[static_cast<std::size_t>(ti) + 1] -
-                    node.row_bounds[static_cast<std::size_t>(ti)];
-          shape.k = k;
-          shape.n = node.col_bounds[static_cast<std::size_t>(tj) + 1] -
-                    node.col_bounds[static_cast<std::size_t>(tj)];
-          shape.rho_a = rho_a_band[static_cast<std::size_t>(ti)];
-          shape.rho_b = rho_b_band[static_cast<std::size_t>(tj)];
-          if (config.density_estimation) {
-            shape.rho_c = node.planned_map.RegionDensity(
-                node.row_bounds[static_cast<std::size_t>(ti)] / block,
-                node.col_bounds[static_cast<std::size_t>(tj)] / block,
-                CeilDiv(shape.m, block), CeilDiv(shape.n, block));
-          }
-          (*task_cost)[static_cast<std::size_t>(node.task_offset +
-                                                ti * node.num_tj + tj)] =
-              EstimateTaskCost(op.cost_model(), shape);
-        }
-      }
+      AppendProductTaskCosts(
+          op.cost_model(), amap, bmap, node.row_bounds, node.col_bounds,
+          config.density_estimation ? &node.planned_map : nullptr,
+          &task_cost);
     }
-    sched_options.cost_of = [task_cost](index_t task) {
-      return (*task_cost)[static_cast<std::size_t>(task)];
+    sched_options.cost_of = [&task_cost](index_t task) {
+      return task_cost[static_cast<std::size_t>(task)];
     };
   }
 
@@ -588,31 +548,11 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
       node.stats.estimate_seconds += est_seconds;
     }
 
+    // Also sets the region's cells of node.map, which downstream
+    // estimates read once the dependency edges release them.
     RunProductTileTask(node.ctx, team, local);
 
-    // Actual result densities for downstream estimates — the same
-    // counts/area division as MultiplyImpl's closing loop (tasks write
-    // disjoint grid regions).
-    for (index_t bi = bi0; bi < bi1; ++bi) {
-      for (index_t bj = bj0; bj < bj1; ++bj) {
-        const double area = static_cast<double>(node.map.BlockArea(bi, bj));
-        node.map.Set(bi, bj,
-                     area > 0 ? node.block_counts[static_cast<std::size_t>(
-                                    bi * node.ctx.grid_cols + bj)] /
-                                    area
-                              : 0.0);
-      }
-    }
-
     const Tile& produced = node.tiles[static_cast<std::size_t>(local)];
-    {
-      MutexLock lock(stats_mutex);
-      if (produced.is_dense()) {
-        node.stats.dense_result_tiles++;
-      } else {
-        node.stats.sparse_result_tiles++;
-      }
-    }
     // Root tiles charge too: the budget (and the resident peak) covers the
     // whole footprint the fused chain holds, result included — the root's
     // charge is released at the end when ownership passes to the caller.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/math_util.h"
@@ -11,6 +13,37 @@
 #include "ops/optimizer.h"
 
 namespace atmx {
+
+namespace {
+
+// The "C(ti,tj)", "k range" and "conv" cells of one tile pair, shared by
+// the plan and the decision-log tables.
+struct PairCells {
+  std::string tile;
+  std::string k_range;
+  std::string conv;
+};
+
+PairCells FormatPairCells(index_t ti, index_t tj, index_t k0, index_t k1,
+                          bool converts_a, bool converts_b) {
+  PairCells cells;
+  cells.tile.append("(")
+      .append(std::to_string(ti))
+      .append(",")
+      .append(std::to_string(tj))
+      .append(")");
+  cells.k_range.append("[")
+      .append(std::to_string(k0))
+      .append(",")
+      .append(std::to_string(k1))
+      .append(")");
+  if (converts_a) cells.conv.append("A");
+  if (converts_b) cells.conv.append(converts_a ? "+B" : "B");
+  if (cells.conv.empty()) cells.conv.append("-");
+  return cells;
+}
+
+}  // namespace
 
 std::string MultiplyPlan::ToString(index_t max_pairs) const {
   std::ostringstream os;
@@ -30,17 +63,13 @@ std::string MultiplyPlan::ToString(index_t max_pairs) const {
       std::min<index_t>(max_pairs, static_cast<index_t>(pairs.size()));
   for (index_t i = 0; i < shown; ++i) {
     const PlannedPair& p = pairs[i];
-    std::string conv;
-    if (p.converts_a) conv += "A";
-    if (p.converts_b) conv += conv.empty() ? "B" : "+B";
-    if (conv.empty()) conv = "-";
-    table.AddRow({"(" + std::to_string(p.ti) + "," + std::to_string(p.tj) +
-                      ")",
-                  "[" + std::to_string(p.k0) + "," + std::to_string(p.k1) +
-                      ")",
+    PairCells cells =
+        FormatPairCells(p.ti, p.tj, p.k0, p.k1, p.converts_a, p.converts_b);
+    table.AddRow({std::move(cells.tile), std::move(cells.k_range),
                   TablePrinter::Fmt(p.rho_a, 4),
                   TablePrinter::Fmt(p.rho_b, 4), KernelTypeName(p.kernel),
-                  conv, TablePrinter::Fmt(p.projected_cost, 0)});
+                  std::move(cells.conv),
+                  TablePrinter::Fmt(p.projected_cost, 0)});
   }
   os << table.ToString();
   if (shown < static_cast<index_t>(pairs.size())) {
@@ -72,20 +101,14 @@ std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
       std::min<index_t>(max_rows, static_cast<index_t>(records.size()));
   for (index_t i = 0; i < shown; ++i) {
     const obs::DecisionRecord& r = records[i];
-    std::string conv;
-    if (r.a_converted) conv += "A";
-    if (r.b_converted) conv += conv.empty() ? "B" : "+B";
-    if (conv.empty()) conv = "-";
-    table.AddRow({std::to_string(r.op_id),
-                  "(" + std::to_string(r.ti) + "," + std::to_string(r.tj) +
-                      ")",
-                  "[" + std::to_string(r.k0) + "," + std::to_string(r.k1) +
-                      ")",
-                  TablePrinter::Fmt(r.rho_a, 4),
+    PairCells cells = FormatPairCells(r.ti, r.tj, r.k0, r.k1, r.a_converted,
+                                      r.b_converted);
+    table.AddRow({std::to_string(r.op_id), std::move(cells.tile),
+                  std::move(cells.k_range), TablePrinter::Fmt(r.rho_a, 4),
                   TablePrinter::Fmt(r.rho_b, 4),
                   TablePrinter::Fmt(r.rho_c, 4),
                   TablePrinter::Fmt(r.rho_w, 4), KernelTypeName(r.kernel),
-                  conv, TablePrinter::Fmt(r.chosen_cost, 0),
+                  std::move(cells.conv), TablePrinter::Fmt(r.chosen_cost, 0),
                   TablePrinter::Fmt(r.stored_cost, 0)});
   }
   os << table.ToString();

@@ -168,8 +168,15 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
 #endif
 
   std::vector<Tile>& c_tiles = *ctx.c_tiles;
-  std::vector<double>& block_counts = *ctx.block_counts;
-  const index_t grid_cols = ctx.grid_cols;
+  // Per-atomic-block non-zero counts of this task's C region, taken while
+  // the produced tile is still cache-hot; they become the region's cells
+  // of the result density map without a second pass.
+  ATMX_DCHECK(r0 % block == 0 && c0 % block == 0);
+  const index_t bi0 = r0 / block;
+  const index_t bj0 = c0 / block;
+  const index_t region_bcols = CeilDiv(c1, block) - bj0;
+  std::vector<index_t> block_counts(
+      static_cast<std::size_t>((CeilDiv(r1, block) - bi0) * region_bcols), 0);
 
   // Target representation from the estimated density (Alg. 2 l. 6).
   double rho_c = 0.0;
@@ -447,14 +454,13 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     // Single cache-hot pass: per-block counts + tile nnz.
     index_t tile_nnz = 0;
     for (index_t i = 0; i < m; ++i) {
-      const index_t bi = (r0 + i) / block;
+      index_t* row_counts = &block_counts[i / block * region_bcols];
       const value_t* row = target.data() + i * target.ld();
       for (index_t j0 = 0; j0 < n; j0 += block) {
         const index_t j1 = std::min(j0 + block, n);
         index_t count = 0;
         for (index_t j = j0; j < j1; ++j) count += (row[j] != 0.0);
-        block_counts[bi * grid_cols + (c0 + j0) / block] +=
-            static_cast<double>(count);
+        row_counts[j0 / block] += count;
         tile_nnz += count;
       }
     }
@@ -591,11 +597,17 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   if (!c_dense) {
     const CsrMatrix& sp = c_tiles[task].sparse();
     for (index_t i = 0; i < m; ++i) {
-      const index_t bi = (r0 + i) / block;
-      for (index_t col : sp.RowCols(i)) {
-        block_counts[bi * grid_cols + (c0 + col) / block] += 1.0;
-      }
+      index_t* row_counts = &block_counts[i / block * region_bcols];
+      for (index_t col : sp.RowCols(i)) ++row_counts[col / block];
     }
+  }
+  for (std::size_t cell = 0; cell < block_counts.size(); ++cell) {
+    const index_t bi = bi0 + static_cast<index_t>(cell) / region_bcols;
+    const index_t bj = bj0 + static_cast<index_t>(cell) % region_bcols;
+    const double area = static_cast<double>(ctx.c_map->BlockArea(bi, bj));
+    ctx.c_map->Set(bi, bj,
+                   area > 0 ? static_cast<double>(block_counts[cell]) / area
+                            : 0.0);
   }
   mult_seconds = mult_timer.ElapsedSeconds();
 #if defined(ATMX_OBS_ENABLED)
@@ -685,6 +697,52 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   stats->local_read_bytes += local_read;
   stats->remote_read_bytes += remote_read;
   stats->local_write_bytes += c_tiles[task].MemoryBytes();
+  if (c_tiles[task].is_dense()) {
+    stats->dense_result_tiles++;
+  } else {
+    stats->sparse_result_tiles++;
+  }
+}
+
+void AppendProductTaskCosts(const CostModel& model, const DensityMap& a_map,
+                            const DensityMap& b_map,
+                            const std::vector<index_t>& row_bounds,
+                            const std::vector<index_t>& col_bounds,
+                            const DensityMap* c_map,
+                            std::vector<double>* costs) {
+  const index_t block = a_map.block();
+  const index_t k = a_map.cols();
+  const index_t k_blocks = CeilDiv(k, block);
+  const std::size_t num_ti = row_bounds.size() - 1;
+  const std::size_t num_tj = col_bounds.size() - 1;
+  std::vector<double> rho_a_band(num_ti);
+  for (std::size_t ti = 0; ti < num_ti; ++ti) {
+    const index_t m = row_bounds[ti + 1] - row_bounds[ti];
+    rho_a_band[ti] = a_map.RegionDensity(row_bounds[ti] / block, 0,
+                                         CeilDiv(m, block), k_blocks);
+  }
+  std::vector<double> rho_b_band(num_tj);
+  for (std::size_t tj = 0; tj < num_tj; ++tj) {
+    const index_t n = col_bounds[tj + 1] - col_bounds[tj];
+    rho_b_band[tj] = b_map.RegionDensity(0, col_bounds[tj] / block, k_blocks,
+                                         CeilDiv(n, block));
+  }
+  for (std::size_t ti = 0; ti < num_ti; ++ti) {
+    for (std::size_t tj = 0; tj < num_tj; ++tj) {
+      MultiplyShape shape;
+      shape.m = row_bounds[ti + 1] - row_bounds[ti];
+      shape.k = k;
+      shape.n = col_bounds[tj + 1] - col_bounds[tj];
+      shape.rho_a = rho_a_band[ti];
+      shape.rho_b = rho_b_band[tj];
+      if (c_map != nullptr) {
+        shape.rho_c = c_map->RegionDensity(
+            row_bounds[ti] / block, col_bounds[tj] / block,
+            CeilDiv(shape.m, block), CeilDiv(shape.n, block));
+      }
+      costs->push_back(EstimateTaskCost(model, shape));
+    }
+  }
 }
 
 }  // namespace atmx::internal

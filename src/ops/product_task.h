@@ -1,14 +1,15 @@
 // The tile-granular unit of work shared by ATMULT and the fused chain
 // executor: one task produces one C tile of one product A * B, running the
 // full per-pair pipeline (window matching, dynamic representation
-// decisions with JIT conversions, kernel dispatch, density bookkeeping).
+// decisions with JIT conversions, kernel dispatch) and closes out its own
+// share of the result: density-map cells, result-tile counts, stats.
 //
-// AtMult::MultiplyImpl wraps this in a flat RunTasks batch over one
-// product; ops/chain_exec.cc wraps it in a cross-product task DAG where an
-// operand may be a still-materializing intermediate. Both paths execute
-// the *same* code on the same inputs, which is what makes fused chain
-// execution bitwise-identical to product-at-a-time execution (see
-// docs/CHAINS.md).
+// AtMult::MultiplyImpl runs one product's tasks as a TeamScheduler batch
+// without dependency edges; ops/chain_exec.cc runs several products as one
+// task DAG where an operand may be a still-materializing intermediate.
+// Both paths execute the *same* code on the same inputs, which is what
+// makes fused chain execution bitwise-identical to product-at-a-time
+// execution (see docs/CHAINS.md).
 
 #ifndef ATMX_OPS_PRODUCT_TASK_H_
 #define ATMX_OPS_PRODUCT_TASK_H_
@@ -113,12 +114,10 @@ struct ProductContext {
   const ATMatrix* c_init = nullptr;
 
   // Output: tile slot per task (task = ti * b.num_col_bands() + tj) and
-  // the per-atomic-block nnz counts of the result (grid of the result's
-  // density map, row-major with `grid_cols` columns). Tasks write disjoint
-  // slots / grid regions.
+  // the result's density map. C tiles cover disjoint block-aligned
+  // regions, so tasks write disjoint slots and map cells.
   std::vector<Tile>* c_tiles = nullptr;
-  std::vector<double>* block_counts = nullptr;
-  index_t grid_cols = 0;
+  DensityMap* c_map = nullptr;
 
   // Per-product stats accumulation, guarded by stats_mutex.
   AtMultStats* stats = nullptr;
@@ -138,11 +137,25 @@ struct ProductContext {
 };
 
 // Runs task `task` (= ti * b.num_col_bands() + tj): produces the C tile
-// for row band ti x col band tj into (*ctx.c_tiles)[task], accumulates the
-// block counts and stats. `team` provides intra-task parallelism and the
-// locality accounting node.
+// for row band ti x col band tj into (*ctx.c_tiles)[task], sets the
+// region's cells of *ctx.c_map to the realized densities and accumulates
+// the stats (result-tile counts included). `team` provides intra-task
+// parallelism and the locality accounting node.
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task);
+
+// Appends the scheduler cost estimate (EstimateTaskCost) of every tile task
+// of one product to `costs`, in task order. Result rows are split by
+// `row_bounds`, columns by `col_bounds`. O(1) per task from per-band
+// aggregate densities of the operand maps: the per-pair refinement happens
+// inside the task, and LPT queue order only needs magnitudes. `c_map`, when
+// non-null, supplies the estimated result density.
+void AppendProductTaskCosts(const CostModel& model, const DensityMap& a_map,
+                            const DensityMap& b_map,
+                            const std::vector<index_t>& row_bounds,
+                            const std::vector<index_t>& col_bounds,
+                            const DensityMap* c_map,
+                            std::vector<double>* costs);
 
 }  // namespace atmx::internal
 

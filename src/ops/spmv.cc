@@ -82,8 +82,8 @@ std::vector<value_t> SpMVParallel(const ATMatrix& a,
   // stealing has little to win here anyway.
   ScheduleOptions static_options;
   static_options.work_stealing = false;
-  scheduler.RunTasks(
-      a.num_row_bands(),
+  scheduler.RunTaskGraph(
+      a.num_row_bands(), /*dep_count=*/{}, /*successors=*/{},
       [teams](index_t band) { return static_cast<int>(band % teams); },
       [&](WorkerTeam& team, index_t band) {
         for (index_t ti : a.TilesInRowBand(band)) {

@@ -1,6 +1,7 @@
 #include "topology/thread_pool.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -154,12 +155,6 @@ TeamScheduler::TeamScheduler(int num_teams, int threads_per_team) {
 
 TeamScheduler::~TeamScheduler() = default;
 
-void TeamScheduler::RunTasks(
-    index_t num_tasks, const std::function<int(index_t)>& home_of,
-    const std::function<void(WorkerTeam&, index_t)>& run) {
-  RunTasks(num_tasks, home_of, run, ScheduleOptions(), nullptr);
-}
-
 void TeamScheduler::RunTaskGraph(
     index_t num_tasks, const std::vector<index_t>& dep_count,
     const std::vector<std::vector<index_t>>& successors,
@@ -167,8 +162,15 @@ void TeamScheduler::RunTaskGraph(
     const std::function<void(WorkerTeam&, index_t)>& run,
     const ScheduleOptions& options, ScheduleStats* stats_out) {
   const int nt = num_teams();
-  ATMX_CHECK_EQ(static_cast<index_t>(dep_count.size()), num_tasks);
-  ATMX_CHECK_EQ(static_cast<index_t>(successors.size()), num_tasks);
+  // Empty dependency arrays describe an independent batch: every task is
+  // ready up front and a completion releases nothing.
+  const bool independent = dep_count.empty();
+  if (independent) {
+    ATMX_CHECK(successors.empty());
+  } else {
+    ATMX_CHECK_EQ(static_cast<index_t>(dep_count.size()), num_tasks);
+    ATMX_CHECK_EQ(static_cast<index_t>(successors.size()), num_tasks);
+  }
 
   // Home teams are fixed up front; home_of runs outside any lock.
   std::vector<int> homes(static_cast<std::size_t>(num_tasks));
@@ -178,9 +180,11 @@ void TeamScheduler::RunTaskGraph(
     homes[static_cast<std::size_t>(task)] = home;
   }
 
-  // One mutex for the whole graph state: releases are rare (one lock round
-  // per task) next to the tile-sized tasks, and a single lock keeps the
-  // ready/dependency protocol trivially race-free.
+  // One mutex over every home queue and the dependency state: the owner
+  // pops from the front of its queue, thieves pop from the back. Tasks are
+  // whole tile multiplications, so one lock round per claim and per
+  // completion is noise next to the task itself, and a single lock keeps
+  // the ready/dependency protocol trivially race-free.
   struct ParkedTask {
     index_t task;
     std::uint64_t epoch;  // completion epoch when the task was parked
@@ -200,12 +204,14 @@ void TeamScheduler::RunTaskGraph(
     std::uint64_t epoch ATMX_GUARDED_BY(mu) = 0;  // bumped per completion
   };
   // Initially-ready tasks enter in submission order; with a cost model
-  // they are re-ordered longest-first like RunTasks, so the expensive
-  // sources start immediately and thieves take the cheap tail. Costs are
-  // evaluated before any lock exists (cost_of is a caller callback).
+  // they are re-ordered longest-processing-time-first (stable, so
+  // equal-cost tasks keep submission order): the expensive head runs
+  // home-local first and thieves take the cheap tail. Costs are evaluated
+  // before any lock exists (cost_of is a caller callback).
   std::vector<index_t> ready;
   for (index_t task = 0; task < num_tasks; ++task) {
-    const index_t deps = dep_count[static_cast<std::size_t>(task)];
+    const index_t deps =
+        independent ? 0 : dep_count[static_cast<std::size_t>(task)];
     ATMX_CHECK_GE(deps, 0);
     if (deps == 0) ready.push_back(task);
   }
@@ -237,8 +243,28 @@ void TeamScheduler::RunTaskGraph(
                        homes[static_cast<std::size_t>(task)])]
           .push_back(task);
     }
+#if defined(ATMX_OBS_ENABLED)
+    // Home-queue balance of the initially ready tasks. Without stealing
+    // this imbalance bounds the makespan; with stealing it is what the
+    // steal traffic (threadpool.steals) has to level out.
+    std::size_t min_depth = state.queues.front().size();
+    std::size_t max_depth = 0;
+    for (const auto& q : state.queues) {
+      min_depth = std::min(min_depth, q.size());
+      max_depth = std::max(max_depth, q.size());
+    }
+    ATMX_GAUGE_SET("threadpool.queue_depth.max", max_depth);
+    ATMX_GAUGE_SET("threadpool.queue_depth.min", min_depth);
+    ATMX_GAUGE_SET("threadpool.queue_depth.imbalance",
+                   max_depth > 0
+                       ? 1.0 - static_cast<double>(min_depth) /
+                                   static_cast<double>(max_depth)
+                       : 0.0);
+#endif
   }
 
+  // Victim scan order per thief: ascending simulated NUMA distance, ties
+  // by node id, so a steal prefers the cheapest remote traffic.
   std::vector<std::vector<int>> victims(static_cast<std::size_t>(nt));
   if (options.work_stealing && nt > 1) {
     for (int t = 0; t < nt; ++t) {
@@ -257,9 +283,13 @@ void TeamScheduler::RunTaskGraph(
   stats.stolen_per_team.assign(static_cast<std::size_t>(nt), 0);
   stats.busy_seconds.assign(static_cast<std::size_t>(nt), 0.0);
   stats.cpu_seconds.assign(static_cast<std::size_t>(nt), 0.0);
+  std::vector<double> max_task_seconds(static_cast<std::size_t>(nt), 0.0);
   WallTimer makespan_timer;
-  ATMX_COUNTER_ADD("threadpool.graph_tasks", num_tasks);
+  ATMX_COUNTER_ADD("threadpool.tasks", num_tasks);
 
+  // One driver thread per team drains that team's queue (and, when
+  // stealing, the tails of its victims); a task may parallelize over the
+  // team's threads.
   std::vector<std::thread> drivers;
   drivers.reserve(teams_.size());
   for (int t = 0; t < nt; ++t) {
@@ -269,6 +299,7 @@ void TeamScheduler::RunTaskGraph(
       index_t stolen = 0;
       double busy = 0.0;
       double cpu = 0.0;
+      double max_task = 0.0;
       for (;;) {
         index_t task = -1;
         int source = -1;
@@ -355,8 +386,10 @@ void TeamScheduler::RunTaskGraph(
 #endif
           run(*teams_[self], task);
         }
-        busy += task_timer.ElapsedSeconds();
+        const double seconds = task_timer.ElapsedSeconds();
+        busy += seconds;
         cpu += task_cpu_timer.ElapsedSeconds();
+        max_task = std::max(max_task, seconds);
         ++executed;
         if (was_stolen) ++stolen;
         {
@@ -366,17 +399,19 @@ void TeamScheduler::RunTaskGraph(
           // A completion is the only event that frees admission resources:
           // bump the epoch so every currently parked task earns one retry.
           ++state.epoch;
-          for (index_t succ : successors[static_cast<std::size_t>(task)]) {
-            ATMX_CHECK(succ >= 0 && succ < num_tasks);
-            index_t& remaining = state.deps[static_cast<std::size_t>(succ)];
-            ATMX_CHECK_GT(remaining, 0);
-            if (--remaining == 0) {
-              // Front of the home queue: the successor consumes this
-              // task's freshly produced tile, so run it before colder
-              // initially-ready work.
-              state.queues[static_cast<std::size_t>(
-                               homes[static_cast<std::size_t>(succ)])]
-                  .push_front(succ);
+          if (!independent) {
+            for (index_t succ : successors[static_cast<std::size_t>(task)]) {
+              ATMX_CHECK(succ >= 0 && succ < num_tasks);
+              index_t& remaining = state.deps[static_cast<std::size_t>(succ)];
+              ATMX_CHECK_GT(remaining, 0);
+              if (--remaining == 0) {
+                // Front of the home queue: the successor consumes this
+                // task's freshly produced tile, so run it before colder
+                // initially-ready work.
+                state.queues[static_cast<std::size_t>(
+                                 homes[static_cast<std::size_t>(succ)])]
+                    .push_front(succ);
+              }
             }
           }
         }
@@ -386,6 +421,7 @@ void TeamScheduler::RunTaskGraph(
       stats.stolen_per_team[self] = stolen;
       stats.busy_seconds[self] = busy;
       stats.cpu_seconds[self] = cpu;
+      max_task_seconds[self] = max_task;
     });
   }
   for (auto& d : drivers) d.join();
@@ -400,206 +436,23 @@ void TeamScheduler::RunTaskGraph(
     ATMX_CHECK_EQ(state.in_flight, 0);
   }
 #if defined(ATMX_OBS_ENABLED)
-  if (options.work_stealing) {
-    ATMX_COUNTER_ADD("threadpool.steals", stats.TotalSteals());
+  ATMX_COUNTER_ADD("threadpool.steals", stats.TotalSteals());
+  ATMX_GAUGE_SET("threadpool.makespan_seconds", stats.makespan_seconds);
+  // Lower bound on any schedule of these tasks on nt teams: either the
+  // perfectly balanced split or the single longest task dominates. A ratio
+  // near 1 means the schedule got the makespan down to the critical path.
+  const double bound =
+      std::max(stats.TotalBusySeconds() / static_cast<double>(nt),
+               *std::max_element(max_task_seconds.begin(),
+                                 max_task_seconds.end()));
+  if (bound > 0.0) {
+    ATMX_GAUGE_SET("threadpool.makespan_vs_bound",
+                   stats.makespan_seconds / bound);
   }
-#endif
-  if (stats_out != nullptr) *stats_out = std::move(stats);
-}
-
-void TeamScheduler::RunTasks(
-    index_t num_tasks, const std::function<int(index_t)>& home_of,
-    const std::function<void(WorkerTeam&, index_t)>& run,
-    const ScheduleOptions& options, ScheduleStats* stats_out) {
-  const int nt = num_teams();
-
-  // Mutex-protected deques: the owner pops from the front, thieves pop
-  // from the back. Tasks here are whole tile multiplications — coarse
-  // enough that a lock per pop is noise next to the task itself, and a
-  // mutex keeps the protocol trivially TSan-clean.
-  struct TaskQueue {
-    Mutex mu;
-    std::deque<index_t> q ATMX_GUARDED_BY(mu);
-  };
-  std::vector<TaskQueue> queues(static_cast<std::size_t>(nt));
-  // The population / ordering phase below runs before any driver thread
-  // exists, but it still takes the queue locks: uncontended acquisitions
-  // are noise next to home_of/cost_of, and the analysis then covers every
-  // access uniformly instead of needing an escape hatch.
-  for (index_t task = 0; task < num_tasks; ++task) {
-    const int home = home_of(task);
-    ATMX_CHECK(home >= 0 && home < nt);
-    TaskQueue& tq = queues[static_cast<std::size_t>(home)];
-    MutexLock lock(tq.mu);
-    tq.q.push_back(task);
-  }
-
-  // Longest-processing-time-first within each home queue: the expensive
-  // head runs home-local first (shrinking the makespan bound), the cheap
-  // tail is what thieves take. Stable so equal-cost tasks keep submission
-  // order and scheduling stays reproducible.
-  if (options.work_stealing && options.cost_of) {
-    std::vector<double> cost(static_cast<std::size_t>(num_tasks));
-    for (index_t task = 0; task < num_tasks; ++task) {
-      cost[static_cast<std::size_t>(task)] = options.cost_of(task);
-    }
-    for (auto& tq : queues) {
-      MutexLock lock(tq.mu);
-      std::stable_sort(tq.q.begin(), tq.q.end(),
-                       [&](index_t a, index_t b) {
-                         return cost[static_cast<std::size_t>(a)] >
-                                cost[static_cast<std::size_t>(b)];
-                       });
-    }
-  }
-
-#if defined(ATMX_OBS_ENABLED)
-  // Queue-depth balance after home assignment. Without stealing this
-  // imbalance directly bounds the makespan; with stealing it is what the
-  // steal traffic (threadpool.steals) has to level out.
-  {
-    std::size_t min_depth = 0;
-    std::size_t max_depth = 0;
-    bool first_queue = true;
-    for (auto& tq : queues) {
-      MutexLock lock(tq.mu);
-      const std::size_t depth = tq.q.size();
-      min_depth = first_queue ? depth : std::min(min_depth, depth);
-      max_depth = std::max(max_depth, depth);
-      first_queue = false;
-    }
-    ATMX_COUNTER_ADD("threadpool.tasks", num_tasks);
-    ATMX_GAUGE_SET("threadpool.queue_depth.max", max_depth);
-    ATMX_GAUGE_SET("threadpool.queue_depth.min", min_depth);
-    ATMX_GAUGE_SET("threadpool.queue_depth.imbalance",
-                   max_depth > 0
-                       ? 1.0 - static_cast<double>(min_depth) /
-                                   static_cast<double>(max_depth)
-                       : 0.0);
-  }
-#endif
-
-  // Victim scan order per thief: ascending simulated NUMA distance, ties
-  // by node id — so a steal prefers the cheapest remote traffic.
-  std::vector<std::vector<int>> victims(static_cast<std::size_t>(nt));
-  if (options.work_stealing && nt > 1) {
-    for (int t = 0; t < nt; ++t) {
-      auto& order = victims[static_cast<std::size_t>(t)];
-      for (int v = 0; v < nt; ++v) {
-        if (v != t) order.push_back(v);
-      }
-      std::stable_sort(order.begin(), order.end(), [&](int x, int y) {
-        return NumaDistance(t, x, nt) < NumaDistance(t, y, nt);
-      });
-    }
-  }
-
-  ScheduleStats stats;
-  stats.executed_per_team.assign(static_cast<std::size_t>(nt), 0);
-  stats.stolen_per_team.assign(static_cast<std::size_t>(nt), 0);
-  stats.busy_seconds.assign(static_cast<std::size_t>(nt), 0.0);
-  stats.cpu_seconds.assign(static_cast<std::size_t>(nt), 0.0);
-  std::vector<double> max_task_seconds(static_cast<std::size_t>(nt), 0.0);
-  WallTimer makespan_timer;
-
-  // One driver thread per team drains that team's queue (and, when
-  // stealing, the tails of its victims); tile multiplications inside a
-  // task parallelize over the team's threads.
-  std::vector<std::thread> drivers;
-  drivers.reserve(teams_.size());
+  auto& registry = obs::MetricsRegistry::Global();
   for (int t = 0; t < nt; ++t) {
-    drivers.emplace_back([&, t] {
-      const std::size_t self = static_cast<std::size_t>(t);
-      index_t executed = 0;
-      index_t stolen = 0;
-      double busy = 0.0;
-      double cpu = 0.0;
-      double max_task = 0.0;
-      for (;;) {
-        index_t task = -1;
-        int source = -1;
-        {
-          TaskQueue& home = queues[self];
-          MutexLock lock(home.mu);
-          if (!home.q.empty()) {
-            task = home.q.front();
-            home.q.pop_front();
-            source = t;
-          }
-        }
-        if (source < 0 && options.work_stealing) {
-          for (int v : victims[self]) {
-            TaskQueue& victim = queues[static_cast<std::size_t>(v)];
-            MutexLock lock(victim.mu);
-            if (!victim.q.empty()) {
-              task = victim.q.back();
-              victim.q.pop_back();
-              source = v;
-              break;
-            }
-          }
-        }
-        // Tasks never respawn, so observing every queue empty means the
-        // batch is fully claimed and this driver can retire.
-        if (source < 0) break;
-        const bool was_stolen = source != t;
-        WallTimer task_timer;
-        ThreadCpuTimer task_cpu_timer;
-        {
-          ATMX_TRACE_SPAN_ARGS("sched", "task", {"team", t}, {"task", task},
-                               {"home", source},
-                               {"stolen", was_stolen ? 1 : 0});
-#if defined(ATMX_OBS_ENABLED)
-          if (was_stolen) {
-            obs::TraceRecorder::Global().RecordInstant(
-                "sched", "steal",
-                {{"thief", t}, {"victim", source}, {"task", task}});
-          }
-#endif
-          run(*teams_[self], task);
-        }
-        const double seconds = task_timer.ElapsedSeconds();
-        busy += seconds;
-        cpu += task_cpu_timer.ElapsedSeconds();
-        max_task = std::max(max_task, seconds);
-        ++executed;
-        if (was_stolen) ++stolen;
-      }
-      // Distinct slots per driver — no lock needed.
-      stats.executed_per_team[self] = executed;
-      stats.stolen_per_team[self] = stolen;
-      stats.busy_seconds[self] = busy;
-      stats.cpu_seconds[self] = cpu;
-      max_task_seconds[self] = max_task;
-    });
-  }
-  for (auto& d : drivers) d.join();
-  stats.makespan_seconds = makespan_timer.ElapsedSeconds();
-
-#if defined(ATMX_OBS_ENABLED)
-  if (options.work_stealing) {
-    ATMX_COUNTER_ADD("threadpool.steals", stats.TotalSteals());
-    ATMX_GAUGE_SET("threadpool.makespan_seconds", stats.makespan_seconds);
-    // Lower bound on any schedule of these tasks on nt teams: either the
-    // perfectly balanced split or the single longest task dominates. A
-    // ratio near 1 means stealing got makespan down to the critical path.
-    double longest_task = 0.0;
-    for (double s : max_task_seconds) {
-      longest_task = std::max(longest_task, s);
-    }
-    const double bound =
-        std::max(stats.TotalBusySeconds() / static_cast<double>(nt),
-                 longest_task);
-    if (bound > 0.0) {
-      ATMX_GAUGE_SET("threadpool.makespan_vs_bound",
-                     stats.makespan_seconds / bound);
-    }
-    auto& registry = obs::MetricsRegistry::Global();
-    for (int t = 0; t < nt; ++t) {
-      registry
-          .GetGauge("threadpool.team." + std::to_string(t) + ".busy_seconds")
-          .Set(stats.busy_seconds[static_cast<std::size_t>(t)]);
-    }
+    registry.GetGauge("threadpool.team." + std::to_string(t) + ".busy_seconds")
+        .Set(stats.busy_seconds[static_cast<std::size_t>(t)]);
   }
 #endif
   if (stats_out != nullptr) *stats_out = std::move(stats);

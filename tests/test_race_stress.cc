@@ -86,8 +86,8 @@ TEST(RaceStressTest, SchedulerRandomizedHomes) {
     TeamScheduler scheduler(teams, threads);
     ScheduleOptions options;
     options.work_stealing = false;
-    scheduler.RunTasks(
-        num_tasks,
+    scheduler.RunTaskGraph(
+        num_tasks, {}, {},
         [&](index_t task) { return homes[static_cast<std::size_t>(task)]; },
         [&](WorkerTeam& team, index_t task) {
           EXPECT_EQ(team.team_id(), homes[static_cast<std::size_t>(task)]);
@@ -125,8 +125,8 @@ TEST(RaceStressTest, SchedulerStealingRandomizedChurn) {
       return static_cast<double>(task % 7);
     };
     ScheduleStats stats;
-    scheduler.RunTasks(
-        num_tasks,
+    scheduler.RunTaskGraph(
+        num_tasks, {}, {},
         [&](index_t task) { return homes[static_cast<std::size_t>(task)]; },
         [&](WorkerTeam& team, index_t task) {
           team.ParallelFor(8, 2, [&](index_t, index_t) {});
@@ -166,9 +166,10 @@ TEST(RaceStressTest, SchedulerReuseAcrossBatches) {
   TeamScheduler scheduler(3, 2);
   std::atomic<index_t> total{0};
   for (int batch = 0; batch < 50; ++batch) {
-    scheduler.RunTasks(
-        17, [&](index_t task) { return static_cast<int>(task % 3); },
-        [&](WorkerTeam&, index_t) { total.fetch_add(1); });
+    scheduler.RunTaskGraph(
+        17, {}, {}, [&](index_t task) { return static_cast<int>(task % 3); },
+        [&](WorkerTeam&, index_t) { total.fetch_add(1); }, ScheduleOptions(),
+        nullptr);
   }
   EXPECT_EQ(total.load(), 17 * 50);
 }

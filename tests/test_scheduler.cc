@@ -123,8 +123,9 @@ TEST(SchedulerStealTest, ForcedStealRunsEveryTaskOnceAndReconciles) {
   std::vector<std::atomic<int>> runs(kTasks);
   std::mutex mu;
   std::vector<int> executed_by(kTasks, -1);
-  scheduler.RunTasks(
-      kTasks, [](index_t) { return 0; },  // all tasks homed to team 0
+  scheduler.RunTaskGraph(
+      kTasks, {}, {},
+      [](index_t) { return 0; },  // all tasks homed to team 0
       [&](WorkerTeam& team, index_t task) {
         runs[static_cast<std::size_t>(task)].fetch_add(1);
         {
@@ -178,8 +179,8 @@ TEST(SchedulerStealTest, StealCountersMatchOffHomeExecution) {
   std::mutex mu;
   std::vector<int> executed_by(kTasks, -1);
   auto home_of = [](index_t task) { return static_cast<int>(task % kTeams); };
-  scheduler.RunTasks(
-      kTasks, home_of,
+  scheduler.RunTaskGraph(
+      kTasks, {}, {}, home_of,
       [&](WorkerTeam& team, index_t task) {
         std::lock_guard<std::mutex> lock(mu);
         executed_by[static_cast<std::size_t>(task)] = team.team_id();
@@ -208,8 +209,8 @@ TEST(SchedulerLptTest, SingleTeamDrainsLongestProcessingTimeFirst) {
     return static_cast<double>(task % 5);
   };
   std::vector<index_t> order;
-  scheduler.RunTasks(
-      10, [](index_t) { return 0; },
+  scheduler.RunTaskGraph(
+      10, {}, {}, [](index_t) { return 0; },
       [&](WorkerTeam&, index_t task) { order.push_back(task); },
       options, nullptr);
   const std::vector<index_t> expected = {4, 9, 3, 8, 2, 7, 1, 6, 0, 5};
@@ -224,8 +225,8 @@ TEST(SchedulerLptTest, StaticModeIgnoresCostOrdering) {
   options.work_stealing = false;
   options.cost_of = [](index_t task) { return static_cast<double>(task); };
   std::vector<index_t> order;
-  scheduler.RunTasks(
-      6, [](index_t) { return 0; },
+  scheduler.RunTaskGraph(
+      6, {}, {}, [](index_t) { return 0; },
       [&](WorkerTeam&, index_t task) { order.push_back(task); },
       options, nullptr);
   const std::vector<index_t> expected = {0, 1, 2, 3, 4, 5};

@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/mutex.h"
+#include "obs/obs.h"
 
 namespace atmx {
 namespace {
@@ -63,8 +67,8 @@ TEST(TeamSchedulerTest, StaticModeRunsEveryTaskOnItsHomeTeam) {
   ScheduleStats stats;
   std::vector<std::atomic<int>> runs(30);
   std::vector<std::atomic<int>> team_of(30);
-  scheduler.RunTasks(
-      30, [](index_t task) { return static_cast<int>(task % 3); },
+  scheduler.RunTaskGraph(
+      30, {}, {}, [](index_t task) { return static_cast<int>(task % 3); },
       [&](WorkerTeam& team, index_t task) {
         runs[task].fetch_add(1);
         team_of[task].store(team.team_id());
@@ -83,30 +87,38 @@ TEST(TeamSchedulerTest, StaticModeRunsEveryTaskOnItsHomeTeam) {
 TEST(TeamSchedulerTest, StealingRunsEveryTaskExactlyOnce) {
   TeamScheduler scheduler(3, 2);
   std::vector<std::atomic<int>> runs(30);
-  scheduler.RunTasks(
-      30, [](index_t task) { return static_cast<int>(task % 3); },
-      [&](WorkerTeam&, index_t task) { runs[task].fetch_add(1); });
+  scheduler.RunTaskGraph(
+      30, {}, {}, [](index_t task) { return static_cast<int>(task % 3); },
+      [&](WorkerTeam&, index_t task) { runs[task].fetch_add(1); },
+      ScheduleOptions(), nullptr);
   for (int t = 0; t < 30; ++t) EXPECT_EQ(runs[t].load(), 1);
 }
 
 TEST(TeamSchedulerTest, TasksCanUseIntraTeamParallelism) {
   TeamScheduler scheduler(2, 3);
   std::atomic<long> total{0};
-  scheduler.RunTasks(
-      8, [](index_t task) { return static_cast<int>(task % 2); },
+  scheduler.RunTaskGraph(
+      8, {}, {}, [](index_t task) { return static_cast<int>(task % 2); },
       [&](WorkerTeam& team, index_t) {
         team.ParallelFor(100, 10, [&](index_t lo, index_t hi) {
           total.fetch_add(hi - lo);
         });
-      });
+      },
+      ScheduleOptions(), nullptr);
   EXPECT_EQ(total.load(), 800);
 }
 
 TEST(TeamSchedulerTest, NoTasks) {
   TeamScheduler scheduler(2, 1);
-  scheduler.RunTasks(
-      0, [](index_t) { return 0; },
-      [](WorkerTeam&, index_t) { FAIL() << "no task should run"; });
+  ScheduleOptions options;
+  options.work_stealing = false;
+  ScheduleStats stats;
+  scheduler.RunTaskGraph(
+      0, {}, {}, [](index_t) { return 0; },
+      [](WorkerTeam&, index_t) { FAIL() << "no task should run"; }, options,
+      &stats);
+  ASSERT_EQ(stats.executed_per_team.size(), 2u);
+  EXPECT_EQ(stats.executed_per_team[0] + stats.executed_per_team[1], 0);
 }
 
 TEST(TeamSchedulerTest, TaskGraphRespectsDependencyOrder) {
@@ -186,6 +198,8 @@ TEST(TeamSchedulerTest, TaskGraphStaticModeRunsChainSequentially) {
 }
 
 TEST(TeamSchedulerTest, TaskGraphAllReadyBehavesLikeRunTasks) {
+  // Explicit all-zero dependency counts describe the same independent batch
+  // as empty dependency arrays.
   TeamScheduler scheduler(2, 1);
   const index_t n = 16;
   std::vector<index_t> deps(n, 0);
@@ -305,6 +319,56 @@ TEST(TeamSchedulerTest, TaskGraphAdmitGateHonorsDependencies) {
   ASSERT_EQ(sequence.size(), static_cast<std::size_t>(n));
   for (index_t t = 0; t < n; ++t) EXPECT_EQ(sequence[t], t);
 }
+
+#if defined(ATMX_OBS_ENABLED)
+TEST(TeamSchedulerTest, EveryBatchReportsSchedulerTelemetry) {
+  // An independent batch and a graph batch run the same loop, so both
+  // count their tasks and set the per-batch gauges.
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter& tasks = registry.GetCounter("threadpool.tasks");
+  obs::Gauge& depth_max = registry.GetGauge("threadpool.queue_depth.max");
+  obs::Gauge& depth_min = registry.GetGauge("threadpool.queue_depth.min");
+  obs::Gauge& makespan = registry.GetGauge("threadpool.makespan_seconds");
+  obs::Gauge& busy0 = registry.GetGauge("threadpool.team.0.busy_seconds");
+  const auto clear_gauges = [&] {
+    for (obs::Gauge* g : {&depth_max, &depth_min, &makespan, &busy0}) {
+      g->Set(-1.0);
+    }
+  };
+  const auto work = [](WorkerTeam&, index_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  TeamScheduler scheduler(2, 1);
+
+  // Independent batch: five tasks homed on team 0, two on team 1.
+  clear_gauges();
+  std::uint64_t before = tasks.Value();
+  scheduler.RunTaskGraph(
+      7, {}, {}, [](index_t task) { return task < 5 ? 0 : 1; }, work,
+      ScheduleOptions(), nullptr);
+  EXPECT_EQ(tasks.Value() - before, 7u);
+  EXPECT_EQ(depth_max.Value(), 5.0);
+  EXPECT_EQ(depth_min.Value(), 2.0);
+  EXPECT_GT(makespan.Value(), 0.0);
+  EXPECT_GT(busy0.Value(), 0.0);
+
+  // Graph batch: 0 -> 1 -> 2 plus sources 3 and 4. Queue depths cover the
+  // initially ready tasks {0, 3, 4}, homed on teams 0, 1 and 0.
+  const std::vector<index_t> deps = {0, 1, 1, 0, 0};
+  const std::vector<std::vector<index_t>> successors = {{1}, {2}, {}, {}, {}};
+  clear_gauges();
+  before = tasks.Value();
+  scheduler.RunTaskGraph(
+      5, deps, successors,
+      [](index_t task) { return static_cast<int>(task % 2); }, work,
+      ScheduleOptions(), nullptr);
+  EXPECT_EQ(tasks.Value() - before, 5u);
+  EXPECT_EQ(depth_max.Value(), 2.0);
+  EXPECT_EQ(depth_min.Value(), 1.0);
+  EXPECT_GT(makespan.Value(), 0.0);
+  EXPECT_GT(busy0.Value(), 0.0);
+}
+#endif  // ATMX_OBS_ENABLED
 
 }  // namespace
 }  // namespace atmx

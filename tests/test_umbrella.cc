@@ -17,7 +17,7 @@ TEST(UmbrellaTest, EndToEndThroughSingleInclude) {
   AtMult op(config);
   ATMatrix c = op.Multiply(atm, atm);
   EXPECT_TRUE(c.CheckValid());
-  EXPECT_GT(FrobeniusNorm(c), 0.0);
+  EXPECT_GT(c.nnz(), 0);
   MultiplyPlan plan = ExplainMultiply(atm, atm, config);
   EXPECT_FALSE(plan.ToString().empty());
 }

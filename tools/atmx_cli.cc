@@ -659,8 +659,7 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
 // ATMX_AUDIT_OUT): per-class error distributions, worst mispredictions,
 // the counterfactual regret pass, and optionally a calibration-drift
 // gate against a committed baseline envelope. Deterministic: the same
-// ledger always produces the same report (tools/audit_report.py is the
-// Python mirror of this replay).
+// ledger always produces the same report.
 int CmdAudit(const std::string& ledger_path, const std::string& gate_path,
              std::size_t worst_n, double inject_density_scale,
              const std::string& envelope_out) {
