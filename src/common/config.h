@@ -73,8 +73,8 @@ struct AtmConfig {
   // parenthesization as one tile-granular task DAG — downstream products
   // start as soon as their input result-tiles complete, and intermediate
   // tiles are dropped after their last consumer finishes. Results are
-  // bitwise identical to product-at-a-time execution; off restores the
-  // per-product barrier. A finite result_mem_limit_bytes stays fused: the
+  // bitwise identical to one batch per product; off runs one batch per
+  // product (the per-product barrier). A finite result_mem_limit_bytes stays fused: the
   // chain-scope water level plans every product's write threshold up front
   // from the estimated density maps and the scheduler admission-gates tile
   // tasks against the shared budget (docs/CHAINS.md "Memory budget");

@@ -58,7 +58,7 @@ struct ChainDecisionRecord {
   double planned_cost = 0.0;        // DP-optimal estimated cost
   double left_to_right_cost = 0.0;  // naive evaluation order, for contrast
   bool fused = false;               // tile-granular dataflow execution
-  // Why fusion was declined ("" when fused): "disabled", "short_chain",
+  // Why fusion was declined ("" when fused): "disabled",
   // "no_estimation", or "budget_infeasible".
   std::string fallback_reason;
   index_t fused_tasks = 0;          // tile tasks in the DAG (0 unfused)

@@ -11,6 +11,10 @@
 //   4. per matching tile pair, compute the reference windows (III-B), let
 //      the dynamic optimizer pick representations / trigger JIT conversions
 //      (III-C), and run the corresponding kernel (III-A).
+//
+// Steps 1-2 happen here; steps 3-4 run in the product executor
+// (internal::ExecuteProducts, ops/chain_exec.h), which treats one product
+// as a one-node task DAG — the same code that runs fused chains.
 
 #ifndef ATMX_OPS_ATMULT_H_
 #define ATMX_OPS_ATMULT_H_
@@ -25,8 +29,6 @@
 #include "tile/at_matrix.h"
 
 namespace atmx {
-
-class ConversionCache;
 
 // Timing breakdown and counters of one ATMULT operation (the quantities
 // behind Figs. 8b, 9c, 9d of the paper).
@@ -111,25 +113,6 @@ class AtMult {
   ATMatrix Multiply(const ATMatrix& a, const ATMatrix& b,
                     AtMultStats* stats = nullptr) const;
 
-  // Same, with caller-owned JIT conversion caches (one per operand
-  // matrix, both addressed in the ConversionCache::kLeft key space; pass
-  // the same cache twice when a == b). The chain executor uses this so a
-  // matrix appearing in several products converts each tile at most once
-  // per chain instead of once per product. Null pointers fall back to the
-  // private per-operation cache.
-  ATMatrix Multiply(const ATMatrix& a, const ATMatrix& b, AtMultStats* stats,
-                    ConversionCache* a_cache, ConversionCache* b_cache) const;
-
-  // Same, with a caller-imposed effective write threshold. A non-negative
-  // `rho_w_override` replaces the operator's own water-level solution —
-  // the chain executor plans thresholds chain-wide against one shared
-  // budget and imposes them on every product so the fused and
-  // product-at-a-time paths make bitwise-identical representation
-  // decisions. Negative means "decide normally".
-  ATMatrix Multiply(const ATMatrix& a, const ATMatrix& b, AtMultStats* stats,
-                    ConversionCache* a_cache, ConversionCache* b_cache,
-                    double rho_w_override) const;
-
   // C' = C + A * B — the full operator signature of section III. The
   // accumulator C must have shape a.rows() x b.cols() and the same atomic
   // block size; its tiling may be arbitrary (it is re-tiled into the
@@ -152,11 +135,10 @@ class AtMult {
                     AtMultStats* stats = nullptr) const;
 
  private:
+  // Estimates the result density, solves the water level and hands the
+  // product to the executor as a one-node tree.
   ATMatrix MultiplyImpl(const ATMatrix* c_init, const ATMatrix& a,
-                        const ATMatrix& b, AtMultStats* stats,
-                        ConversionCache* a_cache = nullptr,
-                        ConversionCache* b_cache = nullptr,
-                        double rho_w_override = -1.0) const;
+                        const ATMatrix& b, AtMultStats* stats) const;
 
   AtmConfig config_;
   CostModel cost_model_;

@@ -1,7 +1,6 @@
 #include "ops/chain.h"
 
 #include <limits>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -15,7 +14,6 @@
 #include "obs/audit_ledger.h"
 #endif
 #include "ops/chain_exec.h"
-#include "ops/optimizer.h"
 
 namespace atmx {
 
@@ -174,58 +172,29 @@ double EstimateLeftToRightCost(const std::vector<const DensityMap*>& maps,
 
 namespace {
 
-// A subchain's result without deep-copying leaves: `view` is always
-// valid; `owned` holds materialized intermediates.
-struct NodeResult {
-  const ATMatrix* view = nullptr;
-  std::unique_ptr<ATMatrix> owned;
-};
-
-// Product-at-a-time execution (post-order, left subtree first). JIT
-// conversion caches are shared per distinct source matrix so a matrix
-// appearing in several products converts each tile at most once per chain.
-NodeResult ExecuteSubchain(
-    const std::vector<const ATMatrix*>& chain, const ChainPlan& plan,
-    const AtMult& op, int i, int j,
-    std::map<const ATMatrix*, std::unique_ptr<ConversionCache>>* caches,
-    const internal::ChainBudgetPlan& budget, ChainExecStats* stats) {
-  if (i == j) {
-    NodeResult leaf;
-    leaf.view = chain[i];
-    return leaf;
-  }
-  const int k = plan.split[i][j];
-  NodeResult left =
-      ExecuteSubchain(chain, plan, op, i, k, caches, budget, stats);
-  NodeResult right =
-      ExecuteSubchain(chain, plan, op, k + 1, j, caches, budget, stats);
-  auto cache_for = [caches](const ATMatrix* m) {
-    auto& slot = (*caches)[m];
-    if (slot == nullptr) slot = std::make_unique<ConversionCache>();
-    return slot.get();
-  };
-  // Post-order product id — per_product holds exactly this node's
-  // completed subtree products at this point. Under an active chain
-  // budget the planned threshold replaces the operator's own water
-  // level, mirroring the fused executor decision for decision.
-  const std::size_t product_index = stats->per_product.size();
-  const double rho_override =
-      budget.active && product_index < budget.rho_w.size()
-          ? budget.rho_w[product_index]
-          : -1.0;
-  AtMultStats product_stats;
-  NodeResult result;
-  result.owned = std::make_unique<ATMatrix>(
-      op.Multiply(*left.view, *right.view, &product_stats,
-                  cache_for(left.view), cache_for(right.view),
-                  rho_override));
-  result.view = result.owned.get();
-  // Intermediate operands are dead now; drop their conversions with them.
-  if (left.owned != nullptr) caches->erase(left.view);
-  if (right.owned != nullptr) caches->erase(right.view);
-  internal::AccumulateProductStats(product_stats, &stats->total);
-  stats->per_product.push_back(std::move(product_stats));
-  return result;
+// Appends the products of the subchain (i..j) to `nodes` in post-order
+// (left subtree, right subtree, self) with their chain-planned thresholds;
+// returns the subchain root's node id, or -1 for a single matrix.
+int AppendChainProducts(const std::vector<const ATMatrix*>& chain,
+                        const ChainPlan& plan,
+                        const internal::ChainBudgetPlan& budget, int i, int j,
+                        std::vector<internal::ProductNode>* nodes) {
+  if (i == j) return -1;
+  const int k = plan.split[static_cast<std::size_t>(i)]
+                          [static_cast<std::size_t>(j)];
+  const int left = AppendChainProducts(chain, plan, budget, i, k, nodes);
+  const int right = AppendChainProducts(chain, plan, budget, k + 1, j, nodes);
+  const std::size_t id = nodes->size();
+  internal::ProductNode node;
+  node.left = left < 0 ? chain[static_cast<std::size_t>(i)] : nullptr;
+  node.left_node = left;
+  node.right = right < 0 ? chain[static_cast<std::size_t>(k) + 1] : nullptr;
+  node.right_node = right;
+  node.rho_w = budget.rho_w[id];
+  node.feasible = budget.feasible;
+  node.planned = &budget.planned_maps[id];
+  nodes->push_back(node);
+  return static_cast<int>(id);
 }
 
 #if defined(ATMX_OBS_ENABLED)
@@ -308,38 +277,39 @@ ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
   if (chain.size() == 1) {
     result = *chain[0];  // deep copy: chain inputs are reusable
   } else {
-    // One chain-scope memory plan drives BOTH executors: under a finite
-    // budget the per-product thresholds it commits are imposed on the
-    // fused DAG and the product-at-a-time path alike, which is what keeps
-    // the two bitwise identical at every budget.
+    // One chain-scope memory plan drives both execution modes: under a
+    // finite budget the per-product thresholds it commits are what keeps
+    // them bitwise identical at every budget.
     const internal::ChainBudgetPlan budget =
         internal::PlanChainBudget(chain, plan, op);
     stats->budget_bytes = budget.active ? budget.budget_bytes : 0;
     stats->projected_peak_bytes = budget.projected_peak_bytes;
     stats->budget_feasible = budget.feasible;
-    bool fuse = false;
-    if (!op.config().fused_chains) {
+    const AtmConfig& config = op.config();
+    if (!config.fused_chains) {
       stats->fallback_reason = "disabled";
-    } else if (!internal::CanFuseChain(chain, op.config(),
-                                       &stats->fallback_reason)) {
-      // reason filled by CanFuseChain
+    } else if (config.result_mem_limit_bytes !=
+                   std::numeric_limits<std::size_t>::max() &&
+               !config.density_estimation) {
+      // A finite memory SLA is served by the chain-scope water level,
+      // which needs the density estimator for the planning-time
+      // intermediate topologies; without estimation nothing can bound the
+      // resident set of one DAG.
+      stats->fallback_reason = "no_estimation";
     } else if (budget.active && !budget.feasible) {
       // Last-resort downgrade: no threshold assignment fits the budget,
-      // so fusion's resident set cannot be bounded — run
+      // so the fused resident set cannot be bounded — run
       // product-at-a-time at the clamped floor thresholds.
       stats->fallback_reason = "budget_infeasible";
-    } else {
-      fuse = true;
     }
-    if (fuse) {
-      result = internal::ExecuteChainFused(chain, plan, op, budget, stats);
-    } else {
-      std::map<const ATMatrix*, std::unique_ptr<ConversionCache>> caches;
-      NodeResult root = ExecuteSubchain(chain, plan, op, 0,
-                                        static_cast<int>(chain.size()) - 1,
-                                        &caches, budget, stats);
-      result = std::move(*root.owned);
-    }
+    const bool fuse = stats->fallback_reason.empty();
+    std::vector<internal::ProductNode> nodes;
+    AppendChainProducts(chain, plan, budget, 0,
+                        static_cast<int>(chain.size()) - 1, &nodes);
+    result = internal::ExecuteProducts(
+        nodes, op,
+        fuse ? internal::ExecMode::kFused : internal::ExecMode::kPerNode,
+        fuse && budget.active ? budget.budget_bytes : 0, stats);
   }
   const double total_seconds = timer.ElapsedSeconds();
 #if defined(ATMX_OBS_ENABLED)

@@ -88,14 +88,14 @@ struct ChainExecStats {
 
   bool fused = false;
   // Why fused execution was declined ("" when fused): "disabled",
-  // "short_chain", "no_estimation", or "budget_infeasible". Recorded in
-  // the DecisionLog chain ring and shown by `atmx decisions`.
+  // "no_estimation", or "budget_infeasible". Recorded in the DecisionLog
+  // chain ring and shown by `atmx decisions`.
   std::string fallback_reason;
   // Tile tasks in the fused DAG (0 when executed product-at-a-time).
   index_t fused_tasks = 0;
-  // Peak bytes of result tiles simultaneously resident during fused
-  // execution — intermediates (dropped after their last consumer) plus
-  // the accumulating root result.
+  // Peak bytes of result tiles simultaneously resident during execution —
+  // intermediates (dropped after their last consumer) plus the
+  // accumulating root result.
   std::uint64_t resident_peak_bytes = 0;
   // Chain-scope memory budget (0 = unbounded): the shared
   // result_mem_limit_bytes the chain-scope water level planned
@@ -106,21 +106,22 @@ struct ChainExecStats {
   bool budget_feasible = true;
 };
 
-// Executes the chain according to the plan using the given operator.
-// When the operator's config has `fused_chains` set (and the chain has at
-// least two products), the whole chain runs as one tile-granular task DAG
-// — see docs/CHAINS.md; otherwise product-at-a-time. A finite
+// Executes the chain according to the plan using the given operator. The
+// plan tree goes to the product executor (internal::ExecuteProducts,
+// docs/CHAINS.md) as a post-order tree of products; a two-matrix chain is
+// a one-node tree, exactly what AtMult::Multiply runs. With the operator's
+// `fused_chains` set, all products run as ONE tile-granular task DAG;
+// otherwise one batch per product, in post-order. A finite
 // result_mem_limit_bytes becomes a chain-scope budget: per-product write
 // thresholds are planned against the shared limit (charging each
-// intermediate for its resident lifetime) and imposed on BOTH executors,
-// and the fused DAG admission-gates tile tasks against it — only a
-// budget no threshold assignment can meet downgrades the chain to
-// product-at-a-time (reason "budget_infeasible" in stats/DecisionLog).
-// Both paths produce bitwise-identical results at every budget.
-// Intermediate-operand JIT conversions go through one shared
-// ConversionCache per distinct source matrix either way, so a matrix
-// appearing in several products converts each tile at most once per
-// chain. `stats`, if non-null, receives the full breakdown.
+// intermediate for its resident lifetime) and applied in both modes, and
+// the fused DAG admission-gates tile tasks against it — only a budget no
+// threshold assignment can meet downgrades the chain to one batch per
+// product (reason "budget_infeasible" in stats/DecisionLog). Both modes
+// produce bitwise-identical results at every budget. JIT conversions go
+// through one shared ConversionCache per distinct operand matrix either
+// way, so a matrix appearing in several products converts each tile at
+// most once per chain. `stats`, if non-null, receives the full breakdown.
 ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
                       const ChainPlan& plan, const AtMult& op,
                       ChainExecStats* stats);

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,7 @@
 #include "common/timer.h"
 #include "estimate/density_estimator.h"
 #include "estimate/water_level.h"
+#include "kernels/kernel_dispatch.h"
 #include "obs/obs.h"
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
@@ -24,25 +28,6 @@
 #include "topology/thread_pool.h"
 
 namespace atmx::internal {
-
-bool CanFuseChain(const std::vector<const ATMatrix*>& chain,
-                  const AtmConfig& config, std::string* reason) {
-  if (chain.size() < 3) {  // fewer than two products
-    if (reason != nullptr) *reason = "short_chain";
-    return false;
-  }
-  // A finite memory SLA is served by the chain-scope water level
-  // (PlanChainBudget), which needs the density estimator for the
-  // planning-time intermediate topologies; without estimation nothing can
-  // bound the resident set, so those chains stay product-at-a-time.
-  if (config.result_mem_limit_bytes !=
-          std::numeric_limits<std::size_t>::max() &&
-      !config.density_estimation) {
-    if (reason != nullptr) *reason = "no_estimation";
-    return false;
-  }
-  return true;
-}
 
 void AccumulateProductStats(const AtMultStats& s, AtMultStats* total) {
   total->estimate_seconds += s.estimate_seconds;
@@ -86,108 +71,10 @@ void AccumulateProductStats(const AtMultStats& s, AtMultStats* total) {
 
 namespace {
 
-// One product of the plan tree. Nodes are created in post-order (left
-// subtree, right subtree, self), so children always have smaller ids than
-// their parent and the per-product stats vector matches the unfused
-// executor's execution order; the root is the last node.
-struct ProductNode {
-  int left_leaf = -1;   // chain index when the left operand is an input
-  int left_node = -1;   // producing node when it is an intermediate
-  int right_leaf = -1;
-  int right_node = -1;
-  int parent = -1;      // consuming node; -1 for the root
-  bool is_left_of_parent = false;
-
-  index_t num_ti = 0;       // result row bands (left operand's row bands)
-  index_t num_tj = 0;       // result col bands (right operand's col bands)
-  index_t task_offset = 0;  // global id of this node's task (0, 0)
-
-  // The materializing result grid: slot ti * num_tj + tj.
-  std::vector<Tile> tiles;
-  std::vector<index_t> row_bounds;
-  std::vector<index_t> col_bounds;
-  DensityMap map;          // actual densities, filled per task
-  DensityMap estimate;     // estimator output, filled per task
-  DensityMap planned_map;  // planning-time estimate (LPT costs)
-
-  // JIT conversions of this node's result tiles, when a consuming task
-  // prefers the other representation.
-  std::unique_ptr<ConversionCache> result_cache;
-
-  ProductContext ctx;
-  AtMultStats stats;
-
-  // Consumer countdowns for dropping this node's result tiles: as the
-  // left operand of the parent, row band ti is retired when all parent
-  // tasks (ti, *) finished; as the right operand, col band tj when all
-  // (*, tj) finished.
-  std::vector<std::atomic<index_t>> remaining;
-};
-
-// Builds the product tree for the subchain (i..j) in post-order and
-// returns the subchain root's node id.
-int BuildNodes(const ChainPlan& plan, int i, int j,
-               std::vector<std::unique_ptr<ProductNode>>* nodes) {
-  const int k = plan.split[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(j)];
-  const int left = i < k ? BuildNodes(plan, i, k, nodes) : -1;
-  const int right = k + 1 < j ? BuildNodes(plan, k + 1, j, nodes) : -1;
-  auto node = std::make_unique<ProductNode>();
-  node->left_node = left;
-  node->left_leaf = i == k ? i : -1;
-  node->right_node = right;
-  node->right_leaf = k + 1 == j ? k + 1 : -1;
-  const int id = static_cast<int>(nodes->size());
-  if (left >= 0) {
-    (*nodes)[static_cast<std::size_t>(left)]->parent = id;
-    (*nodes)[static_cast<std::size_t>(left)]->is_left_of_parent = true;
-  }
-  if (right >= 0) {
-    (*nodes)[static_cast<std::size_t>(right)]->parent = id;
-    (*nodes)[static_cast<std::size_t>(right)]->is_left_of_parent = false;
-  }
-  nodes->push_back(std::move(node));
-  return id;
-}
-
-using NodeVec = std::vector<std::unique_ptr<ProductNode>>;
-
-const DensityMap& LeftActualMap(const std::vector<const ATMatrix*>& chain,
-                                const NodeVec& nodes,
-                                const ProductNode& node) {
-  return node.left_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.left_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.left_node)]->map;
-}
-
-const DensityMap& RightActualMap(const std::vector<const ATMatrix*>& chain,
-                                 const NodeVec& nodes,
-                                 const ProductNode& node) {
-  return node.right_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.right_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.right_node)]->map;
-}
-
-const DensityMap& LeftPlannedMap(const std::vector<const ATMatrix*>& chain,
-                                 const NodeVec& nodes,
-                                 const ProductNode& node) {
-  return node.left_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.left_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.left_node)]->planned_map;
-}
-
-const DensityMap& RightPlannedMap(const std::vector<const ATMatrix*>& chain,
-                                  const NodeVec& nodes,
-                                  const ProductNode& node) {
-  return node.right_leaf >= 0
-             ? chain[static_cast<std::size_t>(node.right_leaf)]->density_map()
-             : nodes[static_cast<std::size_t>(node.right_node)]->planned_map;
-}
-
 // Post-order walk of the plan tree for the subchain (i..j): estimates
 // every product's topology bottom-up (leaves use the inputs' actual maps)
 // and records each product's consuming parent. Returns the subchain
-// root's product id; ids match BuildNodes' post-order.
+// root's product id; ids follow ChainExecStats::per_product's post-order.
 int WalkPlannedProducts(const std::vector<const ATMatrix*>& chain,
                         const ChainPlan& plan, int i, int j,
                         std::vector<DensityMap>* maps,
@@ -212,6 +99,172 @@ int WalkPlannedProducts(const std::vector<const ATMatrix*>& chain,
   return id;
 }
 
+// Runtime state of one product node.
+struct NodeRun {
+  const ProductNode* spec = nullptr;
+  int parent = -1;  // consuming node; -1 for the root
+  bool is_left_of_parent = false;
+
+  index_t num_ti = 0;       // result row bands (left operand's row bands)
+  index_t num_tj = 0;       // result col bands (right operand's col bands)
+  index_t task_offset = 0;  // global id of this node's task (0, 0)
+
+  // The materializing result grid: slot ti * num_tj + tj.
+  std::vector<Tile> tiles;
+  std::vector<index_t> row_bounds;
+  std::vector<index_t> col_bounds;
+  DensityMap map;       // actual densities, filled per task
+  DensityMap estimate;  // filled per task when the spec brings none
+  const DensityMap* planned = nullptr;
+
+  ProductContext ctx;
+  AtMultStats stats;
+
+  // Consumer countdowns for dropping this node's result tiles: as the
+  // left operand of the parent, row band ti is retired when all parent
+  // tasks (ti, *) finished; as the right operand, col band tj when all
+  // (*, tj) finished.
+  std::vector<std::atomic<index_t>> remaining;
+};
+
+using NodeVec = std::vector<std::unique_ptr<NodeRun>>;
+
+// Density map of one operand: an input's own map, or the producing node's
+// actual map (final for the bands a task reads once its dependencies ran)
+// or planning-time estimate.
+const DensityMap& OperandMap(const ATMatrix* leaf, int node,
+                             const NodeVec& nodes, bool planned) {
+  if (leaf != nullptr) return leaf->density_map();
+  const NodeRun& src = *nodes[static_cast<std::size_t>(node)];
+  if (!planned) return src.map;
+  ATMX_CHECK(src.planned != nullptr);
+  return *src.planned;
+}
+
+#if defined(ATMX_OBS_ENABLED)
+// Per-product telemetry, recorded once per node after its tasks ran: the
+// atmult.* counters and histograms, the water-level and estimator gauges
+// and audit records, the placement gauges.
+void RecordProductTelemetry(const NodeRun& node, const AtmConfig& config,
+                            int teams) {
+  const AtMultStats& s = node.stats;
+  auto& registry = obs::MetricsRegistry::Global();
+  ATMX_COUNTER_INC("atmult.operations");
+  ATMX_COUNTER_ADD("atmult.pairs", s.pair_multiplications);
+  ATMX_COUNTER_ADD("atmult.result_tiles.dense", s.dense_result_tiles);
+  ATMX_COUNTER_ADD("atmult.result_tiles.sparse", s.sparse_result_tiles);
+  ATMX_COUNTER_ADD("atmult.bytes.local_read", s.local_read_bytes);
+  ATMX_COUNTER_ADD("atmult.bytes.remote_read", s.remote_read_bytes);
+  ATMX_COUNTER_ADD("atmult.bytes.local_write", s.local_write_bytes);
+  ATMX_COUNTER_ADD("atmult.bytes.remote_write", s.remote_write_bytes);
+  ATMX_HISTOGRAM_OBSERVE("atmult.seconds.total", s.total_seconds);
+  // Per-variant invocation counters: names are per-variant, so the
+  // function-local-static caching macro does not apply; registration
+  // cost is once per product, not per pair.
+  for (int v = 0; v < kNumKernelTypes; ++v) {
+    if (s.kernel_invocations[v] > 0) {
+      registry.GetCounter(KernelMetricName(static_cast<KernelType>(v)))
+          .Add(static_cast<std::uint64_t>(s.kernel_invocations[v]));
+    }
+  }
+
+  const double rho_w = node.ctx.rho_w;
+  // Every result tile wrote its bytes once (first-touch placement), so
+  // the write counters are the realized result size.
+  const std::uint64_t result_bytes =
+      s.local_write_bytes + s.remote_write_bytes;
+  ATMX_GAUGE_SET("atmult.waterlevel.rho_w", rho_w);
+  if (node.ctx.use_estimate) {
+    const DensityMap& estimate = *node.ctx.estimate;
+    const DensityMap& actual = node.map;
+    // Projected result memory at the effective threshold — the number
+    // the mem-tracker high-water mark and the realized result size
+    // (atmult.result_bytes) are compared against.
+    const std::uint64_t projected_bytes = EstimateMemoryBytes(estimate, rho_w);
+    ATMX_GAUGE_SET("atmult.waterlevel.predicted_bytes",
+                   static_cast<double>(projected_bytes));
+    if (config.result_mem_limit_bytes !=
+        std::numeric_limits<std::size_t>::max()) {
+      // Water-level headroom: how far under the memory SLA the projected
+      // result stays at the effective threshold (negative = infeasible).
+      ATMX_GAUGE_SET("atmult.waterlevel.headroom_bytes",
+                     static_cast<double>(config.result_mem_limit_bytes) -
+                         static_cast<double>(projected_bytes));
+    }
+    // Estimator telemetry: predicted vs. actual per-block density error,
+    // joined into the prediction audit ledger when one is armed.
+    if (estimate.grid_rows() == actual.grid_rows() &&
+        estimate.grid_cols() == actual.grid_cols()) {
+      for (index_t bi = 0; bi < actual.grid_rows(); ++bi) {
+        for (index_t bj = 0; bj < actual.grid_cols(); ++bj) {
+          const double err =
+              std::abs(estimate.At(bi, bj) - actual.At(bi, bj));
+          ATMX_HISTOGRAM_OBSERVE_WITH("atmult.estimator.abs_error", err,
+                                      0.001, 0.005, 0.01, 0.05, 0.1, 0.25,
+                                      0.5, 1.0);
+          if (node.ctx.ledger_enabled) {
+            obs::DensityAuditRecord r;
+            r.op = node.ctx.op_id;
+            r.bi = bi;
+            r.bj = bj;
+            r.predicted = estimate.At(bi, bj);
+            r.actual = actual.At(bi, bj);
+            obs::AuditLedger::Global().RecordDensity(r);
+          }
+        }
+      }
+      ATMX_GAUGE_SET("atmult.estimator.predicted_nnz",
+                     estimate.ExpectedNnz());
+      ATMX_GAUGE_SET("atmult.estimator.actual_nnz", actual.ExpectedNnz());
+    }
+    if (node.ctx.ledger_enabled) {
+      // Water-level outcome: projection vs the materialized result and
+      // the tracker high water while this product ran.
+      obs::WaterLevelAuditRecord w;
+      w.op = node.ctx.op_id;
+      w.rho_w = rho_w;
+      w.projected_bytes = projected_bytes;
+      w.result_bytes = result_bytes;
+      w.high_water_bytes = obs::MemTracker::Global().high_water_bytes();
+      w.feasible = node.spec->feasible;
+      obs::AuditLedger::Global().RecordWaterLevel(w);
+    }
+  }
+  // Placement balance across the worker teams (first-touch home nodes of
+  // the result tiles; retired tiles keep theirs). Dynamic names => direct
+  // registry calls.
+  std::vector<index_t> node_tiles(static_cast<std::size_t>(teams), 0);
+  for (const Tile& t : node.tiles) {
+    const int home = t.home_node();
+    if (home >= 0 && home < teams) {
+      ++node_tiles[static_cast<std::size_t>(home)];
+    }
+  }
+  index_t min_tiles = std::numeric_limits<index_t>::max();
+  index_t max_tiles = 0;
+  for (int team = 0; team < teams; ++team) {
+    const index_t count = node_tiles[static_cast<std::size_t>(team)];
+    registry
+        .GetGauge("atmult.placement.node." + std::to_string(team) +
+                  ".result_tiles")
+        .Set(static_cast<double>(count));
+    min_tiles = std::min(min_tiles, count);
+    max_tiles = std::max(max_tiles, count);
+  }
+  ATMX_GAUGE_SET("atmult.placement.balance",
+                 max_tiles > 0 ? static_cast<double>(min_tiles) /
+                                     static_cast<double>(max_tiles)
+                               : 1.0);
+  ATMX_GAUGE_SET("atmult.result_bytes", static_cast<double>(result_bytes));
+}
+#endif
+
+void AttributeSchedule(const ScheduleStats& sched, AtMultStats* stats) {
+  stats->tasks_stolen = static_cast<index_t>(sched.TotalSteals());
+  stats->team_busy_seconds = sched.busy_seconds;
+  stats->team_cpu_seconds = sched.cpu_seconds;
+}
+
 }  // namespace
 
 ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
@@ -223,13 +276,19 @@ ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
   std::vector<int> parents;
   WalkPlannedProducts(chain, plan, 0, n - 1, &budget.planned_maps, &parents);
   budget.rho_w.assign(budget.planned_maps.size(), config.rho_write);
-  // Chain-scope budgeting needs a finite limit, the estimator for the
-  // planned topologies, and at least two products — a single product is
-  // exactly the operator's own per-product water level, which MultiplyImpl
-  // already runs.
+  // Budgeting needs a finite limit and the estimator for the planned
+  // topologies.
   if (config.result_mem_limit_bytes ==
           std::numeric_limits<std::size_t>::max() ||
-      !config.density_estimation || budget.planned_maps.size() < 2) {
+      !config.density_estimation) {
+    return budget;
+  }
+  if (budget.planned_maps.size() == 1) {
+    // A single product gets the operator's own per-product water level,
+    // exactly as AtMult::Multiply solves it.
+    budget.rho_w[0] = EffectiveWriteThreshold(
+        budget.planned_maps[0], config.rho_write,
+        config.result_mem_limit_bytes, &budget.feasible);
     return budget;
   }
   budget.active = true;
@@ -245,111 +304,100 @@ ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
   return budget;
 }
 
-ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
-                           const ChainPlan& plan, const AtMult& op,
-                           const ChainBudgetPlan& budget,
-                           ChainExecStats* stats) {
+ATMatrix ExecuteProducts(const std::vector<ProductNode>& specs,
+                         const AtMult& op, ExecMode mode,
+                         std::size_t budget_bytes, ChainExecStats* stats) {
   ATMX_CHECK(stats != nullptr);
+  ATMX_CHECK(!specs.empty());
+  // Post-order: the first node has no children, so both operands are
+  // inputs.
+  ATMX_CHECK(specs[0].left != nullptr && specs[0].right != nullptr);
+  WallTimer batch_timer;
   const AtmConfig& config = op.config();
-  const index_t block = chain[0]->b_atomic();
-  const int n = static_cast<int>(chain.size());
-
-  NodeVec nodes;
-  nodes.reserve(static_cast<std::size_t>(n) - 1);
-  const int root_id = BuildNodes(plan, 0, n - 1, &nodes);
-  ATMX_CHECK_EQ(root_id, static_cast<int>(nodes.size()) - 1);
-  ATMX_CHECK(!budget.active || budget.rho_w.size() == nodes.size());
+  const bool fused = mode == ExecMode::kFused;
+  const index_t block = specs[0].left->b_atomic();
+  const std::size_t n = specs.size();
 
 #if defined(ATMX_OBS_ENABLED)
   const bool audit_enabled = obs::DecisionLog::Global().enabled();
   const bool ledger_enabled = obs::AuditLedger::Global().enabled();
   if (ledger_enabled) {
+    // The counterfactual replay re-runs DecidePairRepresentations with
+    // the parameters this operation actually decided with.
     obs::AuditLedger::Global().SetCostParams(op.cost_model().params());
   }
 #endif
   Mutex stats_mutex;
   ResidentTileSet resident;
-  if (budget.active) resident.set_budget_bytes(budget.budget_bytes);
+  resident.set_budget_bytes(budget_bytes);
 
-  // Shared JIT conversion caches, one per distinct input matrix, addressed
-  // with the kLeft key space on both operand sides — a matrix appearing in
-  // several products (or twice in one) converts each tile at most once per
-  // chain. Intermediates get their producing node's result_cache.
-  std::map<const ATMatrix*, std::unique_ptr<ConversionCache>> leaf_caches;
-  auto leaf_cache = [&](int leaf) {
-    auto& slot = leaf_caches[chain[static_cast<std::size_t>(leaf)]];
+  // One JIT conversion cache per distinct operand matrix (input or
+  // intermediate), keyed by its tile vector: a matrix on both sides of a
+  // product, or in several products, converts each tile at most once.
+  std::map<const std::vector<Tile>*, std::unique_ptr<ConversionCache>> caches;
+  auto cache_for = [&caches](const std::vector<Tile>* tiles) {
+    auto& slot = caches[tiles];
     if (slot == nullptr) slot = std::make_unique<ConversionCache>();
     return slot.get();
   };
 
   // --- Per-node setup (children before parents: post-order ids). --------
+  NodeVec nodes;
+  nodes.reserve(n);
   index_t total_tasks = 0;
-  for (std::size_t id = 0; id < nodes.size(); ++id) {
-    ProductNode& node = *nodes[id];
-    node.row_bounds =
-        node.left_leaf >= 0
-            ? chain[static_cast<std::size_t>(node.left_leaf)]->row_bounds()
-            : nodes[static_cast<std::size_t>(node.left_node)]->row_bounds;
-    node.col_bounds =
-        node.right_leaf >= 0
-            ? chain[static_cast<std::size_t>(node.right_leaf)]->col_bounds()
-            : nodes[static_cast<std::size_t>(node.right_node)]->col_bounds;
-    node.num_ti = static_cast<index_t>(node.row_bounds.size()) - 1;
-    node.num_tj = static_cast<index_t>(node.col_bounds.size()) - 1;
+  for (std::size_t id = 0; id < n; ++id) {
+    nodes.push_back(std::make_unique<NodeRun>());
+    NodeRun& node = *nodes.back();
+    const ProductNode& spec = specs[id];
+    node.spec = &spec;
+    node.planned = spec.planned != nullptr ? spec.planned : spec.estimate;
+    ProductContext& ctx = node.ctx;
+    auto bind = [&](const ATMatrix* leaf, int src_id, bool is_left,
+                    OperandView* view, ConversionCache** cache) {
+      if (leaf != nullptr) {
+        ATMX_CHECK_EQ(leaf->b_atomic(), block);
+        *view = OperandView::FromMatrix(*leaf);
+        *cache = cache_for(&leaf->tiles());
+        return;
+      }
+      ATMX_CHECK(src_id >= 0 && static_cast<std::size_t>(src_id) < id);
+      NodeRun& src = *nodes[static_cast<std::size_t>(src_id)];
+      ATMX_CHECK_EQ(src.parent, -1);
+      src.parent = static_cast<int>(id);
+      src.is_left_of_parent = is_left;
+      *view = OperandView::FromGrid(&src.tiles, &src.row_bounds,
+                                    &src.col_bounds, &src.map);
+      *cache = cache_for(&src.tiles);
+    };
+    bind(spec.left, spec.left_node, true, &ctx.a, &ctx.a_cache);
+    bind(spec.right, spec.right_node, false, &ctx.b, &ctx.b_cache);
+    ATMX_CHECK_EQ(ctx.a.cols(), ctx.b.rows());
+
+    node.row_bounds = ctx.a.row_bounds();
+    node.col_bounds = ctx.b.col_bounds();
+    node.num_ti = ctx.a.num_row_bands();
+    node.num_tj = ctx.b.num_col_bands();
     node.task_offset = total_tasks;
     total_tasks += node.num_ti * node.num_tj;
-
-    const index_t rows = node.row_bounds.back();
-    const index_t cols = node.col_bounds.back();
     node.tiles.resize(static_cast<std::size_t>(node.num_ti * node.num_tj));
-    node.map = DensityMap(rows, cols, block);
-    if (config.density_estimation) {
-      node.estimate = DensityMap(rows, cols, block);
-    }
-    node.result_cache = std::make_unique<ConversionCache>();
+    node.map = DensityMap(ctx.a.rows(), ctx.b.cols(), block);
 
-    ProductContext& ctx = node.ctx;
-    if (node.left_leaf >= 0) {
-      ctx.a = OperandView::FromMatrix(
-          *chain[static_cast<std::size_t>(node.left_leaf)]);
-      ctx.a_cache = leaf_cache(node.left_leaf);
-    } else {
-      ProductNode& l = *nodes[static_cast<std::size_t>(node.left_node)];
-      ctx.a = OperandView::FromGrid(&l.tiles, &l.row_bounds, &l.col_bounds,
-                                    &l.map);
-      ctx.a_cache = l.result_cache.get();
-    }
-    if (node.right_leaf >= 0) {
-      ctx.b = OperandView::FromMatrix(
-          *chain[static_cast<std::size_t>(node.right_leaf)]);
-      ctx.b_cache = leaf_cache(node.right_leaf);
-    } else {
-      ProductNode& r = *nodes[static_cast<std::size_t>(node.right_node)];
-      ctx.b = OperandView::FromGrid(&r.tiles, &r.row_bounds, &r.col_bounds,
-                                    &r.map);
-      ctx.b_cache = r.result_cache.get();
-    }
     ctx.block = block;
     ctx.use_estimate = config.density_estimation;
-    ctx.estimate = &node.estimate;
-    // Unbounded budget: the performance-optimal threshold, exactly as the
-    // unfused path's EffectiveWriteThreshold fast path. Finite budget: the
-    // chain-scope water level's per-product threshold, which the unfused
-    // path imposes identically (rho_w_override) — same representation
-    // decisions, bitwise-identical results.
-    ctx.rho_w = budget.active ? budget.rho_w[id] : config.rho_write;
-    if (id < budget.planned_maps.size()) {
-      node.planned_map = budget.planned_maps[id];
+    if (ctx.use_estimate && spec.estimate == nullptr) {
+      node.estimate = DensityMap(ctx.a.rows(), ctx.b.cols(), block);
     }
+    ctx.estimate = spec.estimate != nullptr ? spec.estimate : &node.estimate;
+    ctx.rho_w = spec.rho_w;
     ctx.dynamic_conversion = config.dynamic_conversion;
     ctx.cost_model = &op.cost_model();
-    ctx.a_cache_side = ConversionCache::kLeft;
-    ctx.b_cache_side = ConversionCache::kLeft;
+    ctx.c_init = spec.c_init;
     ctx.c_tiles = &node.tiles;
     ctx.c_map = &node.map;
     ctx.stats = &node.stats;
     ctx.stats_mutex = &stats_mutex;
-    node.stats.effective_write_threshold = ctx.rho_w;
+    node.stats.effective_write_threshold = spec.rho_w;
+    node.stats.estimate_seconds = spec.estimate_seconds;
 #if defined(ATMX_OBS_ENABLED)
     ctx.audit_enabled = audit_enabled;
     ctx.ledger_enabled = ledger_enabled;
@@ -360,11 +408,11 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   }
   // Retire countdowns: sized by the operand band the parent consumes;
   // parents have larger ids, so their band counts exist only after the
-  // first pass.
-  for (auto& node_ptr : nodes) {
-    ProductNode& node = *node_ptr;
-    if (node.parent < 0) continue;
-    ProductNode& p = *nodes[static_cast<std::size_t>(node.parent)];
+  // first pass. Every node but the root has exactly one consumer.
+  for (std::size_t id = 0; id + 1 < n; ++id) {
+    NodeRun& node = *nodes[id];
+    ATMX_CHECK(node.parent >= 0);
+    const NodeRun& p = *nodes[static_cast<std::size_t>(node.parent)];
     const std::size_t bands = static_cast<std::size_t>(
         node.is_left_of_parent ? node.num_ti : node.num_tj);
     const index_t consumers = node.is_left_of_parent ? p.num_tj : p.num_ti;
@@ -374,40 +422,46 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     }
   }
 
-  // --- Dependency graph over the global task space. ---------------------
+  // --- Dependency graph over the global task space (fused only). --------
   // Task (ti, tj) of a product reads the left operand's entire row band ti
   // and the right operand's entire col band tj, so it depends on every
-  // left-child task (ti, *) and every right-child task (*, tj).
-  std::vector<index_t> dep_count(static_cast<std::size_t>(total_tasks), 0);
-  std::vector<std::vector<index_t>> successors(
-      static_cast<std::size_t>(total_tasks));
-  for (auto& node_ptr : nodes) {
-    ProductNode& node = *node_ptr;
-    const index_t deps =
-        (node.left_node >= 0
-             ? nodes[static_cast<std::size_t>(node.left_node)]->num_tj
-             : 0) +
-        (node.right_node >= 0
-             ? nodes[static_cast<std::size_t>(node.right_node)]->num_ti
-             : 0);
-    for (index_t t = 0; t < node.num_ti * node.num_tj; ++t) {
-      dep_count[static_cast<std::size_t>(node.task_offset + t)] = deps;
-    }
-    if (node.parent < 0) continue;
-    ProductNode& p = *nodes[static_cast<std::size_t>(node.parent)];
-    for (index_t ti = 0; ti < node.num_ti; ++ti) {
-      for (index_t tj = 0; tj < node.num_tj; ++tj) {
-        auto& succ = successors[static_cast<std::size_t>(
-            node.task_offset + ti * node.num_tj + tj)];
-        if (node.is_left_of_parent) {
-          succ.reserve(static_cast<std::size_t>(p.num_tj));
-          for (index_t j = 0; j < p.num_tj; ++j) {
-            succ.push_back(p.task_offset + ti * p.num_tj + j);
-          }
-        } else {
-          succ.reserve(static_cast<std::size_t>(p.num_ti));
-          for (index_t i = 0; i < p.num_ti; ++i) {
-            succ.push_back(p.task_offset + i * p.num_tj + tj);
+  // left-child task (ti, *) and every right-child task (*, tj). One batch
+  // per node needs no edges: a node's children finished in earlier
+  // batches.
+  std::vector<index_t> dep_count;
+  std::vector<std::vector<index_t>> successors;
+  if (fused && n > 1) {
+    dep_count.assign(static_cast<std::size_t>(total_tasks), 0);
+    successors.resize(static_cast<std::size_t>(total_tasks));
+    for (auto& node_ptr : nodes) {
+      const NodeRun& node = *node_ptr;
+      const ProductNode& spec = *node.spec;
+      const index_t deps =
+          (spec.left == nullptr
+               ? nodes[static_cast<std::size_t>(spec.left_node)]->num_tj
+               : 0) +
+          (spec.right == nullptr
+               ? nodes[static_cast<std::size_t>(spec.right_node)]->num_ti
+               : 0);
+      for (index_t t = 0; t < node.num_ti * node.num_tj; ++t) {
+        dep_count[static_cast<std::size_t>(node.task_offset + t)] = deps;
+      }
+      if (node.parent < 0) continue;
+      const NodeRun& p = *nodes[static_cast<std::size_t>(node.parent)];
+      for (index_t ti = 0; ti < node.num_ti; ++ti) {
+        for (index_t tj = 0; tj < node.num_tj; ++tj) {
+          auto& succ = successors[static_cast<std::size_t>(
+              node.task_offset + ti * node.num_tj + tj)];
+          if (node.is_left_of_parent) {
+            succ.reserve(static_cast<std::size_t>(p.num_tj));
+            for (index_t j = 0; j < p.num_tj; ++j) {
+              succ.push_back(p.task_offset + ti * p.num_tj + j);
+            }
+          } else {
+            succ.reserve(static_cast<std::size_t>(p.num_ti));
+            for (index_t i = 0; i < p.num_ti; ++i) {
+              succ.push_back(p.task_offset + i * p.num_tj + tj);
+            }
           }
         }
       }
@@ -417,9 +471,9 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   // Global task id -> owning node, via the offsets (nodes are in offset
   // order by construction).
   std::vector<index_t> offsets;
-  offsets.reserve(nodes.size());
+  offsets.reserve(n);
   for (const auto& node_ptr : nodes) offsets.push_back(node_ptr->task_offset);
-  auto node_of = [&](index_t task) {
+  auto node_of = [&offsets](index_t task) {
     return static_cast<int>(std::upper_bound(offsets.begin(), offsets.end(),
                                              task) -
                             offsets.begin()) -
@@ -427,33 +481,25 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   };
 
   // --- LPT queue ordering from planning-time estimates. -----------------
-  // The unfused path prices tasks against the operands' actual density
-  // maps; here intermediates have no actual map until they materialize, so
-  // queue order uses the estimator's planned maps instead (order is a
-  // performance hint only — results are unaffected).
-  std::vector<double> task_cost;  // outlives sched_options.cost_of
-  ScheduleOptions sched_options;
-  sched_options.work_stealing = config.work_stealing;
+  // Intermediates have no actual map until they materialize, so queue
+  // order uses the planned maps (order is a performance hint only —
+  // results are unaffected).
+  std::vector<double> task_cost;
   if (config.work_stealing && total_tasks > 0) {
     task_cost.reserve(static_cast<std::size_t>(total_tasks));
-    for (auto& node_ptr : nodes) {  // offset order: appends line up
-      ProductNode& node = *node_ptr;
-      const DensityMap& amap = LeftPlannedMap(chain, nodes, node);
-      const DensityMap& bmap = RightPlannedMap(chain, nodes, node);
-      if (node.planned_map.rows() == 0) {  // not seeded by the budget plan
-        node.planned_map = EstimateProductDensity(amap, bmap);
-      }
+    for (const auto& node_ptr : nodes) {  // offset order: appends line up
+      const NodeRun& node = *node_ptr;
+      const ProductNode& spec = *node.spec;
       AppendProductTaskCosts(
-          op.cost_model(), amap, bmap, node.row_bounds, node.col_bounds,
-          config.density_estimation ? &node.planned_map : nullptr,
-          &task_cost);
+          op.cost_model(),
+          OperandMap(spec.left, spec.left_node, nodes, /*planned=*/true),
+          OperandMap(spec.right, spec.right_node, nodes, /*planned=*/true),
+          node.row_bounds, node.col_bounds,
+          config.density_estimation ? node.planned : nullptr, &task_cost);
     }
-    sched_options.cost_of = [&task_cost](index_t task) {
-      return task_cost[static_cast<std::size_t>(task)];
-    };
   }
 
-  // --- Admission control against the chain budget. ----------------------
+  // --- Admission control against the budget. ----------------------------
   // Each task's projected output bytes at its product's planned threshold
   // (the same 8 B/elem dense, 16 B/elem sparse pricing the water level
   // used). A ready task reserves its projection before launching; the
@@ -463,11 +509,12 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   // forward progress by force-admitting the oldest parked task when
   // nothing is in flight.
   std::vector<std::uint64_t> task_bytes;
-  if (budget.active) {
+  if (budget_bytes > 0) {
     task_bytes.assign(static_cast<std::size_t>(total_tasks), 0);
-    for (auto& node_ptr : nodes) {
-      ProductNode& node = *node_ptr;
-      const DensityMap& pm = node.planned_map;
+    for (const auto& node_ptr : nodes) {
+      const NodeRun& node = *node_ptr;
+      ATMX_CHECK(node.planned != nullptr);
+      const DensityMap& pm = *node.planned;
       for (index_t ti = 0; ti < node.num_ti; ++ti) {
         const index_t bi0 =
             node.row_bounds[static_cast<std::size_t>(ti)] / block;
@@ -494,74 +541,51 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
         }
       }
     }
-    sched_options.admit = [&resident, &task_bytes](index_t task,
-                                                   bool force) {
-      const std::uint64_t bytes =
-          task_bytes[static_cast<std::size_t>(task)];
-      if (force) {
-        resident.ForceReserve(bytes);
-        ATMX_COUNTER_INC("atmult.fused.admission.forced");
-        return true;
-      }
-      if (!resident.TryReserve(bytes)) {
-        ATMX_COUNTER_INC("atmult.fused.admission.parked");
-        return false;
-      }
-      return true;
-    };
   }
 
-  // --- Run the DAG. -----------------------------------------------------
-  const int teams = config.EffectiveTeams();
-  TeamScheduler scheduler(teams, config.EffectiveThreadsPerTeam());
-  ATMX_TRACE_SPAN_ARGS("chain", "fused_exec",
-                       {"products", static_cast<index_t>(nodes.size())},
-                       {"tasks", total_tasks});
-
-  auto run_task = [&](WorkerTeam& team, index_t task) {
-    const int node_id = node_of(task);
-    ProductNode& node = *nodes[static_cast<std::size_t>(node_id)];
+  // --- The tile task. ---------------------------------------------------
+  auto tile_task = [&](WorkerTeam& team, index_t task) {
+    NodeRun& node = *nodes[static_cast<std::size_t>(node_of(task))];
+    const ProductNode& spec = *node.spec;
     const index_t local = task - node.task_offset;
     const index_t ti = local / node.num_tj;
     const index_t tj = local % node.num_tj;
-    ATMX_TRACE_SPAN_ARGS("chain", "fused_tile", {"product", node_id},
-                         {"ti", ti}, {"tj", tj});
-    ATMX_COUNTER_INC("atmult.fused.tiles");
 
-    const index_t bi0 = node.row_bounds[static_cast<std::size_t>(ti)] / block;
-    const index_t bi1 =
-        CeilDiv(node.row_bounds[static_cast<std::size_t>(ti) + 1], block);
-    const index_t bj0 = node.col_bounds[static_cast<std::size_t>(tj)] / block;
-    const index_t bj1 =
-        CeilDiv(node.col_bounds[static_cast<std::size_t>(tj) + 1], block);
-    if (node.ctx.use_estimate) {
+    if (node.ctx.use_estimate && spec.estimate == nullptr) {
       // Region-by-region estimate from the operands' *actual* maps —
-      // bitwise identical to the full pre-pass the unfused path runs,
-      // because the dependency edges guarantee the operand bands this
-      // region reads are final.
+      // bitwise identical to a full pre-pass, because the operand bands
+      // this region reads are final (dependency edges or earlier
+      // batches).
+      const index_t bi0 = node.row_bounds[static_cast<std::size_t>(ti)] / block;
+      const index_t bi1 =
+          CeilDiv(node.row_bounds[static_cast<std::size_t>(ti) + 1], block);
+      const index_t bj0 = node.col_bounds[static_cast<std::size_t>(tj)] / block;
+      const index_t bj1 =
+          CeilDiv(node.col_bounds[static_cast<std::size_t>(tj) + 1], block);
       WallTimer est_timer;
-      EstimateProductDensityRegion(LeftActualMap(chain, nodes, node),
-                                   RightActualMap(chain, nodes, node), bi0,
-                                   bi1, bj0, bj1, &node.estimate);
+      EstimateProductDensityRegion(
+          OperandMap(spec.left, spec.left_node, nodes, /*planned=*/false),
+          OperandMap(spec.right, spec.right_node, nodes, /*planned=*/false),
+          bi0, bi1, bj0, bj1, &node.estimate);
       const double est_seconds = est_timer.ElapsedSeconds();
       MutexLock lock(stats_mutex);
       node.stats.estimate_seconds += est_seconds;
     }
 
     // Also sets the region's cells of node.map, which downstream
-    // estimates read once the dependency edges release them.
+    // estimates read once their dependencies release them.
     RunProductTileTask(node.ctx, team, local);
 
-    const Tile& produced = node.tiles[static_cast<std::size_t>(local)];
-    // Root tiles charge too: the budget (and the resident peak) covers the
-    // whole footprint the fused chain holds, result included — the root's
-    // charge is released at the end when ownership passes to the caller.
-    resident.Charge(produced.MemoryBytes());
+    // Every result tile charges the resident set: the budget (and the
+    // resident peak) covers the whole footprint held, result included —
+    // the root's charge is released at the end when ownership passes to
+    // the caller.
+    resident.Charge(node.tiles[static_cast<std::size_t>(local)].MemoryBytes());
 
     // Retire operand bands whose last consumer this task was. acq_rel on
     // the countdown orders every consumer's reads before the release.
-    if (node.left_node >= 0) {
-      ProductNode& l = *nodes[static_cast<std::size_t>(node.left_node)];
+    if (spec.left == nullptr) {
+      NodeRun& l = *nodes[static_cast<std::size_t>(spec.left_node)];
       if (l.remaining[static_cast<std::size_t>(ti)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         std::vector<index_t> band(static_cast<std::size_t>(l.num_tj));
@@ -571,8 +595,8 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
         resident.Retire(&l.tiles, band);
       }
     }
-    if (node.right_node >= 0) {
-      ProductNode& r = *nodes[static_cast<std::size_t>(node.right_node)];
+    if (spec.right == nullptr) {
+      NodeRun& r = *nodes[static_cast<std::size_t>(spec.right_node)];
       if (r.remaining[static_cast<std::size_t>(tj)].fetch_sub(
               1, std::memory_order_acq_rel) == 1) {
         std::vector<index_t> band(static_cast<std::size_t>(r.num_ti));
@@ -582,7 +606,7 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
         resident.Retire(&r.tiles, band);
       }
     }
-    if (budget.active) {
+    if (budget_bytes > 0) {
       // The projection is real charges now (or never materialized): hand
       // the reservation back so parked tasks can re-enter.
       resident.ReleaseReservation(
@@ -590,75 +614,109 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
     }
   };
 
-  ScheduleStats sched_stats;
-  scheduler.RunTaskGraph(
-      total_tasks, dep_count, successors,
-      [&](index_t task) {
-        // Same round-robin home as one unfused product: the task's result
-        // tile-row, within its own product.
-        const int node_id = node_of(task);
-        const ProductNode& node = *nodes[static_cast<std::size_t>(node_id)];
-        return static_cast<int>(((task - node.task_offset) / node.num_tj) %
-                                static_cast<index_t>(teams));
-      },
-      run_task, sched_options, &sched_stats);
+  // --- Run: one batch, or one batch per node. ----------------------------
+  const int teams = config.EffectiveTeams();
+  TeamScheduler scheduler(teams, config.EffectiveThreadsPerTeam());
+  // Runs the tasks of nodes [first, last) as one scheduler batch.
+  auto run_batch = [&](std::size_t first, std::size_t last,
+                       ScheduleStats* sched_stats) {
+    const index_t base = nodes[first]->task_offset;
+    const index_t end = last < n ? nodes[last]->task_offset : total_tasks;
+    ScheduleOptions options;
+    options.work_stealing = config.work_stealing;
+    if (!task_cost.empty()) {
+      options.cost_of = [&task_cost, base](index_t t) {
+        return task_cost[static_cast<std::size_t>(base + t)];
+      };
+    }
+    if (budget_bytes > 0) {
+      options.admit = [&resident, &task_bytes, base](index_t t, bool force) {
+        const std::uint64_t bytes =
+            task_bytes[static_cast<std::size_t>(base + t)];
+        if (force) {
+          resident.ForceReserve(bytes);
+          ATMX_COUNTER_INC("atmult.fused.admission.forced");
+          return true;
+        }
+        if (!resident.TryReserve(bytes)) {
+          ATMX_COUNTER_INC("atmult.fused.admission.parked");
+          return false;
+        }
+        return true;
+      };
+    }
+    std::function<void(WorkerTeam&, index_t)> run =
+        [&tile_task, base](WorkerTeam& team, index_t t) {
+          tile_task(team, base + t);
+        };
+    if (fused) {
+      run = [&tile_task, &node_of, base](WorkerTeam& team, index_t t) {
+        ATMX_TRACE_SPAN_ARGS("chain", "fused_tile",
+                             {"product", node_of(base + t)},
+                             {"task", base + t});
+        ATMX_COUNTER_INC("atmult.fused.tiles");
+        tile_task(team, base + t);
+      };
+    }
+    scheduler.RunTaskGraph(
+        end - base, dep_count, successors,
+        [&](index_t t) {
+          // Tasks follow their result tile-row's round-robin home (III-F),
+          // within their own product; with work stealing this is the
+          // *initial* queue, and the task accounts locality against the
+          // team that actually executes it.
+          const NodeRun& node = *nodes[static_cast<std::size_t>(
+              node_of(base + t))];
+          return static_cast<int>(((base + t - node.task_offset) /
+                                   node.num_tj) %
+                                  static_cast<index_t>(teams));
+        },
+        run, options, sched_stats);
+  };
 
-  // --- Close out stats. -------------------------------------------------
-  stats->fused = true;
-  stats->fused_tasks = total_tasks;
+  // A batch that runs one node hands that node its scheduler outcome and
+  // wall time; a multi-product DAG's outcome goes to the chain total.
+  auto close_batch = [&](std::size_t id, const ScheduleStats& sched) {
+    NodeRun& node = *nodes[id];
+    AttributeSchedule(sched, &node.stats);
+    node.stats.total_seconds =
+        node.spec->estimate_seconds + batch_timer.ElapsedSeconds();
+    batch_timer.Restart();
+  };
+  const bool one_dag = fused && n > 1;
+  ScheduleStats dag_sched;
+  if (fused) {
+    ATMX_TRACE_SPAN_ARGS("chain", "fused_exec",
+                         {"products", static_cast<index_t>(n)},
+                         {"tasks", total_tasks});
+    run_batch(0, n, &dag_sched);
+    if (!one_dag) close_batch(0, dag_sched);
+  } else {
+    for (std::size_t id = 0; id < n; ++id) {
+      ScheduleStats sched;
+      run_batch(id, id + 1, &sched);
+      close_batch(id, sched);
+    }
+  }
+
+  // --- Close out stats and telemetry, once per node. --------------------
+  stats->fused = fused;
+  stats->fused_tasks = fused ? total_tasks : 0;
   stats->resident_peak_bytes = resident.peak_bytes();
-  stats->per_product.reserve(nodes.size());
+  stats->per_product.reserve(n);
   for (auto& node_ptr : nodes) {
-    ProductNode& node = *node_ptr;
-    node.stats.total_seconds = node.stats.PhaseSeconds();
+    NodeRun& node = *node_ptr;
+    // Products of one DAG interleave: their phase sum stands in for wall.
+    if (one_dag) node.stats.total_seconds = node.stats.PhaseSeconds();
+#if defined(ATMX_OBS_ENABLED)
+    RecordProductTelemetry(node, config, teams);
+#endif
     AccumulateProductStats(node.stats, &stats->total);
     stats->per_product.push_back(node.stats);
   }
-  // Per-product conversion deltas are ill-defined under fusion (products
-  // interleave on shared caches); the chain totals come straight from the
-  // caches.
-  index_t s2d = 0;
-  index_t d2s = 0;
-  for (const auto& entry : leaf_caches) {
-    s2d += entry.second->sparse_to_dense_count();
-    d2s += entry.second->dense_to_sparse_count();
-  }
-  for (const auto& node_ptr : nodes) {
-    s2d += node_ptr->result_cache->sparse_to_dense_count();
-    d2s += node_ptr->result_cache->dense_to_sparse_count();
-  }
-  stats->total.sparse_to_dense_conversions = s2d;
-  stats->total.dense_to_sparse_conversions = d2s;
-  stats->total.tasks_stolen = static_cast<index_t>(sched_stats.TotalSteals());
-  stats->total.team_busy_seconds = sched_stats.busy_seconds;
-  stats->total.team_cpu_seconds = sched_stats.cpu_seconds;
+  if (one_dag) AttributeSchedule(dag_sched, &stats->total);
 
-#if defined(ATMX_OBS_ENABLED)
-  // Join per-node estimator output against the realized density maps
-  // before the root's map is moved into the result matrix.
-  if (ledger_enabled && config.density_estimation) {
-    for (const auto& node_ptr : nodes) {
-      const ProductNode& node = *node_ptr;
-      if (node.estimate.grid_rows() != node.map.grid_rows() ||
-          node.estimate.grid_cols() != node.map.grid_cols()) {
-        continue;
-      }
-      for (index_t bi = 0; bi < node.map.grid_rows(); ++bi) {
-        for (index_t bj = 0; bj < node.map.grid_cols(); ++bj) {
-          obs::DensityAuditRecord r;
-          r.op = node.ctx.op_id;
-          r.bi = bi;
-          r.bj = bj;
-          r.predicted = node.estimate.At(bi, bj);
-          r.actual = node.map.At(bi, bj);
-          obs::AuditLedger::Global().RecordDensity(r);
-        }
-      }
-    }
-  }
-#endif
-
-  ProductNode& root = *nodes[static_cast<std::size_t>(root_id)];
+  NodeRun& root = *nodes.back();
   std::uint64_t root_bytes = 0;
   for (const Tile& t : root.tiles) root_bytes += t.MemoryBytes();
   ATMatrix result(root.row_bounds.back(), root.col_bounds.back(), block,
@@ -670,14 +728,15 @@ ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
   resident.ReleaseCharge(root_bytes);
 
 #if defined(ATMX_OBS_ENABLED)
-  ATMX_COUNTER_INC("atmult.fused.chains");
-  ATMX_COUNTER_ADD("atmult.fused.products",
-                   static_cast<std::uint64_t>(nodes.size()));
-  ATMX_GAUGE_SET("atmult.fused.resident_bytes_peak",
-                 static_cast<double>(stats->resident_peak_bytes));
-  if (budget.active) {
-    ATMX_GAUGE_SET("atmult.fused.budget_bytes",
-                   static_cast<double>(budget.budget_bytes));
+  if (fused) {
+    ATMX_COUNTER_INC("atmult.fused.chains");
+    ATMX_COUNTER_ADD("atmult.fused.products", static_cast<std::uint64_t>(n));
+    ATMX_GAUGE_SET("atmult.fused.resident_bytes_peak",
+                   static_cast<double>(stats->resident_peak_bytes));
+    if (budget_bytes > 0) {
+      ATMX_GAUGE_SET("atmult.fused.budget_bytes",
+                     static_cast<double>(budget_bytes));
+    }
   }
   obs::MemTracker::SampleProcess();
 #endif

@@ -1,45 +1,39 @@
-// Fused chain execution (docs/CHAINS.md): runs a planned chain
-// parenthesization as ONE tile-granular task DAG instead of a sequence of
-// product-at-a-time ATMULT calls. Every (row band, col band) pair of every
-// product in the plan tree is a task; a downstream product's task starts
-// the moment the input result-tiles it reads are complete — there is no
-// full-matrix barrier between products. Intermediate result tiles stay
-// resident only from their producing task until their last consuming task
-// finishes (ResidentTileSet), so the peak intermediate footprint can stay
-// far below materializing every intermediate whole.
+// The product executor (docs/CHAINS.md): the one place that runs ATMULT
+// tile tasks. It takes a post-order tree of products — a single
+// AtMult::Multiply is a one-node tree, ExecuteChain hands over a planned
+// parenthesization — and runs every (row band, col band) pair of every
+// product as a tile task (RunProductTileTask, ops/product_task.h), in one
+// of two modes:
 //
-// Both paths run the identical per-tile pipeline (RunProductTileTask) on
-// bitwise-identical inputs — same operand tiles, same band iteration
-// order, same region-by-region density estimates, same write threshold —
-// so fused results are bitwise identical to unfused ones. Under a finite
+//  - fused: all products in ONE dependency-scheduled task DAG. A downstream
+//    product's task starts the moment the input result-tiles it reads are
+//    complete — there is no full-matrix barrier between products — and
+//    under a budget ready tasks are admission-gated against it.
+//  - one batch per node, in post-order (product-at-a-time).
+//
+// In both modes every result tile is charged to one ResidentTileSet,
+// intermediate tiles stay resident only from their producing task until
+// their last consuming task finishes, and JIT conversions go through one
+// ConversionCache per distinct operand matrix. Both modes run the identical
+// per-tile pipeline on identical inputs — same operand tiles, same band
+// iteration order, same region-by-region density estimates, same write
+// thresholds — so their results are bitwise identical. Under a finite
 // memory budget the chain-scope water level (ChainBudgetPlan) plans one
-// threshold per product and imposes it on BOTH executors, keeping that
-// identity; the fused DAG additionally admission-gates ready tile tasks
-// against the budget (scheduling order never affects results).
+// threshold per product, which both modes apply (scheduling order never
+// affects results).
 
 #ifndef ATMX_OPS_CHAIN_EXEC_H_
 #define ATMX_OPS_CHAIN_EXEC_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "estimate/density_map.h"
 #include "ops/chain.h"
 #include "tile/at_matrix.h"
 
 namespace atmx::internal {
-
-// True when the chain is eligible for fused execution: at least two
-// products (three matrices), and — when the result-memory budget is
-// finite — density estimation enabled, since the chain-scope water level
-// plans against estimated intermediate topologies. When declining, fills
-// `*reason` (if non-null) with the DecisionLog fallback reason
-// ("short_chain", "no_estimation").
-bool CanFuseChain(const std::vector<const ATMatrix*>& chain,
-                  const AtmConfig& config, std::string* reason = nullptr);
 
 // Chain-scope memory plan: per-product write thresholds solved against the
 // shared result_mem_limit_bytes budget, charging each intermediate for its
@@ -48,8 +42,9 @@ bool CanFuseChain(const std::vector<const ATMatrix*>& chain,
 // tree — the same order as ChainExecStats::per_product.
 struct ChainBudgetPlan {
   // True when a finite budget (with density estimation) drives
-  // chain-scope thresholds; false leaves both executors on the
-  // performance-optimal rho_write.
+  // chain-scope thresholds over two or more products; false leaves the
+  // thresholds at the performance-optimal rho_write (a single product
+  // under a finite budget gets its own water level instead).
   bool active = false;
   // False when even the memory-minimal thresholds miss the budget; the
   // thresholds are then the clamped floor and ExecuteChain downgrades to
@@ -64,30 +59,58 @@ struct ChainBudgetPlan {
 // Builds the budget plan for the chain: estimates every product's
 // topology bottom-up along the plan tree and, when the operator's budget
 // is finite, solves the chain-scope water level over the products'
-// resident lifetimes. With an unbounded budget (or estimation disabled)
-// the plan comes back inactive with only the planned maps filled.
+// resident lifetimes (or, for a single product, the operator's own
+// per-product water level). With an unbounded budget (or estimation
+// disabled) the plan comes back inactive with only the planned maps
+// filled.
 ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
                                 const ChainPlan& plan, const AtMult& op);
 
-// Executes the planned chain as one dependency-scheduled tile-task DAG.
-// When `budget.active`, each product writes at its chain-planned
-// threshold and the scheduler admission-gates ready tile tasks against
-// the shared budget (projected bytes reserved up front, released as
-// consumers retire tiles; see ScheduleOptions::admit).
-// Preconditions: CanFuseChain() holds, chain.size() == plan.split.size(),
-// and `stats` is non-null (the caller owns reporting).
-ATMatrix ExecuteChainFused(const std::vector<const ATMatrix*>& chain,
-                           const ChainPlan& plan, const AtMult& op,
-                           const ChainBudgetPlan& budget,
-                           ChainExecStats* stats);
+// One product of a post-order product tree: children come before their
+// parent and the root is the last node.
+struct ProductNode {
+  // Each operand is an input matrix or, when null, the result of the
+  // earlier node `left_node` / `right_node`.
+  const ATMatrix* left = nullptr;
+  int left_node = -1;
+  const ATMatrix* right = nullptr;
+  int right_node = -1;
+  // Accumulator of C + A * B (MultiplyAdd); null for plain products.
+  const ATMatrix* c_init = nullptr;
+  // Effective write threshold rhoD_W the node's tasks classify against,
+  // and whether it meets the memory budget (water-level audit record).
+  double rho_w = 0.0;
+  bool feasible = true;
+  // The full result-density estimate when the caller already computed it
+  // (AtMult does, for its water level); the node's tasks then skip the
+  // per-region estimate. `estimate_seconds` is the time that took.
+  const DensityMap* estimate = nullptr;
+  double estimate_seconds = 0.0;
+  // Planning-time estimate of the result: prices the queue order, the
+  // admission projections and the parent's operand. Defaults to
+  // `estimate`; required for intermediates and under a budget.
+  const DensityMap* planned = nullptr;
+};
+
+enum class ExecMode { kFused, kPerNode };
+
+// Runs the products and returns the root's result. A non-zero
+// `budget_bytes` admission-gates ready tile tasks against it (projected
+// bytes reserved up front, released as consumers retire tiles; see
+// ScheduleOptions::admit). Fills `stats` (non-null): per_product in node
+// order, their sum in total, fused / fused_tasks for kFused, and the
+// resident peak. Records the per-product atmult.* telemetry and audit
+// records exactly once per node.
+ATMatrix ExecuteProducts(const std::vector<ProductNode>& nodes,
+                         const AtMult& op, ExecMode mode,
+                         std::size_t budget_bytes, ChainExecStats* stats);
 
 // Adds one product's operator stats into the chain total (timings,
 // counters, kernel invocations, per-team seconds, locality bytes). The
 // total's effective_write_threshold becomes the *minimum* across the
 // accumulated products — the binding threshold of the chain — with 0.0
 // treated as "unset"; per-product values live in
-// ChainExecStats::per_product. Shared by the fused and product-at-a-time
-// executors.
+// ChainExecStats::per_product.
 void AccumulateProductStats(const AtMultStats& s, AtMultStats* total);
 
 }  // namespace atmx::internal

@@ -181,9 +181,12 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
   plan.effective_write_threshold = rho_w;
 
   // Tracks which tiles a JIT conversion has already been planned for, so
-  // the cached-conversion logic matches execution.
-  std::vector<bool> a_converted(a.num_tiles(), false);
-  std::vector<bool> b_converted(b.num_tiles(), false);
+  // the cached-conversion logic matches execution: one record per
+  // distinct operand matrix, shared by both sides in A * A.
+  std::vector<bool> a_record(a.num_tiles(), false);
+  std::vector<bool> b_record(&a == &b ? 0 : b.num_tiles(), false);
+  std::vector<bool>& a_converted = a_record;
+  std::vector<bool>& b_converted = &a == &b ? a_record : b_record;
 
   for (index_t ti = 0; ti < plan.num_row_bands; ++ti) {
     const index_t r0 = a.row_bounds()[ti];
@@ -250,15 +253,17 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
             pair.rho_b = shape.rho_b;
             pair.kernel = MakeKernelType(decision.a_dense, decision.b_dense,
                                          c_dense);
+            pair.projected_cost = decision.projected_cost;
+            // A before B: in A * A a diagonal pair's second side finds the
+            // tile the first side just converted.
             pair.converts_a =
                 decision.a_converted && !a_converted[a_band[ia]];
-            pair.converts_b =
-                decision.b_converted && !b_converted[b_band[ib]];
-            pair.projected_cost = decision.projected_cost;
             if (pair.converts_a) {
               a_converted[a_band[ia]] = true;
               plan.planned_conversions++;
             }
+            pair.converts_b =
+                decision.b_converted && !b_converted[b_band[ib]];
             if (pair.converts_b) {
               b_converted[b_band[ib]] = true;
               plan.planned_conversions++;

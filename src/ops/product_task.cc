@@ -149,10 +149,11 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                        {"ti", ti}, {"tj", tj}, {"node", exec_node},
                        {"rows", m}, {"cols", n});
 
-  double opt_seconds = 0.0;
-  double conv_seconds = 0.0;  // subsumed by the optimizer timer below
+  double opt_seconds = 0.0;  // decisions + JIT conversions
   double mult_seconds = 0.0;
   index_t pairs_done = 0;
+  index_t to_dense = 0;  // JIT conversions this task made
+  index_t to_sparse = 0;
   std::uint64_t local_read = 0, remote_read = 0;
   std::array<index_t, kNumKernelTypes> task_kernels{};
 #if defined(ATMX_OBS_ENABLED)
@@ -269,12 +270,12 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
       if (ctx.dynamic_conversion) {
         a_cached =
             mp.a_tile->is_dense()
-                ? ctx.a_cache->HasSparse(ctx.a_cache_side, mp.a_idx)
-                : ctx.a_cache->HasDense(ctx.a_cache_side, mp.a_idx);
+                ? ctx.a_cache->HasSparse(mp.a_idx)
+                : ctx.a_cache->HasDense(mp.a_idx);
         b_cached =
             mp.b_tile->is_dense()
-                ? ctx.b_cache->HasSparse(ctx.b_cache_side, mp.b_idx)
-                : ctx.b_cache->HasDense(ctx.b_cache_side, mp.b_idx);
+                ? ctx.b_cache->HasSparse(mp.b_idx)
+                : ctx.b_cache->HasDense(mp.b_idx);
         decision = DecidePairRepresentations(
             *ctx.cost_model, shape, mp.a_tile->is_dense(),
             mp.b_tile->is_dense(), a_cached, b_cached, c_dense,
@@ -362,15 +363,13 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
         const DenseMatrix& dm =
             mp.a_tile->is_dense()
                 ? mp.a_tile->dense()
-                : ctx.a_cache->GetDense(ctx.a_cache_side, mp.a_idx,
-                                        *mp.a_tile, &conv_seconds);
+                : ctx.a_cache->GetDense(mp.a_idx, *mp.a_tile, &to_dense);
         pp.a = Operand::Dense(
             dm.View().Window(wa.r0, wa.c0, wa.rows(), wa.cols()));
       } else {
         const CsrMatrix& sm =
             mp.a_tile->is_dense()
-                ? ctx.a_cache->GetSparse(ctx.a_cache_side, mp.a_idx,
-                                         *mp.a_tile, &conv_seconds)
+                ? ctx.a_cache->GetSparse(mp.a_idx, *mp.a_tile, &to_sparse)
                 : mp.a_tile->sparse();
         pp.a = Operand::Sparse(&sm, wa);
       }
@@ -381,15 +380,13 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
         const DenseMatrix& dm =
             mp.b_tile->is_dense()
                 ? mp.b_tile->dense()
-                : ctx.b_cache->GetDense(ctx.b_cache_side, mp.b_idx,
-                                        *mp.b_tile, &conv_seconds);
+                : ctx.b_cache->GetDense(mp.b_idx, *mp.b_tile, &to_dense);
         pp.b = Operand::Dense(
             dm.View().Window(wb.r0, wb.c0, wb.rows(), wb.cols()));
       } else {
         const CsrMatrix& sm =
             mp.b_tile->is_dense()
-                ? ctx.b_cache->GetSparse(ctx.b_cache_side, mp.b_idx,
-                                         *mp.b_tile, &conv_seconds)
+                ? ctx.b_cache->GetSparse(mp.b_idx, *mp.b_tile, &to_sparse)
                 : mp.b_tile->sparse();
         pp.b = Operand::Sparse(&sm, wb);
       }
@@ -399,10 +396,7 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                                           shape.k, shape.n);
       prepared.push_back(std::move(pp));
     }
-    // The surrounding timer already covers the JIT conversions
-    // (conv_seconds), so only the timer is accumulated.
     opt_seconds += opt_timer.ElapsedSeconds();
-    (void)conv_seconds;
   }
 
   // --- Execute: accumulate all pairs into the C tile. -----------------
@@ -672,13 +666,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   }
 #endif
   c_tiles[task].set_home_node(exec_node);  // first-touch placement
-#if defined(ATMX_OBS_ENABLED)
-  if (ctx.tracked_bytes != nullptr) {
-    const std::size_t tile_bytes = c_tiles[task].MemoryBytes();
-    obs::MemTracker::Global().RecordAlloc(tile_bytes);
-    ctx.tracked_bytes->fetch_add(tile_bytes, std::memory_order_relaxed);
-  }
-#endif
   pairs_done = static_cast<index_t>(prepared.size());
 
   for (const PreparedPair& pp : prepared) {
@@ -691,6 +678,8 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   stats->optimize_seconds += opt_seconds;
   stats->multiply_seconds += mult_seconds;
   stats->pair_multiplications += pairs_done;
+  stats->sparse_to_dense_conversions += to_dense;
+  stats->dense_to_sparse_conversions += to_sparse;
   for (int v = 0; v < kNumKernelTypes; ++v) {
     stats->kernel_invocations[v] += task_kernels[static_cast<std::size_t>(v)];
   }

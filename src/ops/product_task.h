@@ -1,20 +1,19 @@
-// The tile-granular unit of work shared by ATMULT and the fused chain
-// executor: one task produces one C tile of one product A * B, running the
-// full per-pair pipeline (window matching, dynamic representation
-// decisions with JIT conversions, kernel dispatch) and closes out its own
-// share of the result: density-map cells, result-tile counts, stats.
+// The tile-granular unit of work of the product executor: one task
+// produces one C tile of one product A * B, running the full per-pair
+// pipeline (window matching, dynamic representation decisions with JIT
+// conversions, kernel dispatch) and closes out its own share of the
+// result: density-map cells, result-tile counts, stats.
 //
-// AtMult::MultiplyImpl runs one product's tasks as a TeamScheduler batch
-// without dependency edges; ops/chain_exec.cc runs several products as one
-// task DAG where an operand may be a still-materializing intermediate.
-// Both paths execute the *same* code on the same inputs, which is what
-// makes fused chain execution bitwise-identical to product-at-a-time
-// execution (see docs/CHAINS.md).
+// internal::ExecuteProducts (ops/chain_exec.h) is the only caller. It runs
+// a post-order tree of products — a single AtMult::Multiply is a one-node
+// tree — either as one task DAG, where an operand may be a
+// still-materializing intermediate, or as one batch per product. Both
+// modes execute the *same* code on the same inputs, which is what makes
+// them bitwise-identical (see docs/CHAINS.md).
 
 #ifndef ATMX_OPS_PRODUCT_TASK_H_
 #define ATMX_OPS_PRODUCT_TASK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -100,15 +99,11 @@ struct ProductContext {
   bool dynamic_conversion = true;
   const CostModel* cost_model = nullptr;
 
-  // JIT conversion caches for the two operands, plus the key side each is
-  // addressed with. A private per-operation cache uses one object with
-  // kLeft/kRight sides; the chain executor passes one cache per source
-  // matrix (always addressed as kLeft), so a matrix repeated across
-  // products — or on both sides of one product — shares its conversions.
+  // JIT conversion caches of the two operand matrices: one cache per
+  // distinct matrix, so in A * A both point at the same cache and each
+  // tile converts at most once.
   ConversionCache* a_cache = nullptr;
-  ConversionCache::Side a_cache_side = ConversionCache::kLeft;
   ConversionCache* b_cache = nullptr;
-  ConversionCache::Side b_cache_side = ConversionCache::kRight;
 
   // Optional accumulator (MultiplyAdd's C); null for plain products.
   const ATMatrix* c_init = nullptr;
@@ -129,17 +124,13 @@ struct ProductContext {
   // Prediction-vs-outcome ledger recording (obs::AuditLedger): per-pair
   // representation decisions, per-task cost outcomes, SPA mode choices.
   bool ledger_enabled = false;
-
-  // When non-null, result-tile bytes are recorded with the MemTracker and
-  // accumulated here so the caller can release the operator-transient
-  // footprint when ownership passes on.
-  std::atomic<std::uint64_t>* tracked_bytes = nullptr;
 };
 
 // Runs task `task` (= ti * b.num_col_bands() + tj): produces the C tile
 // for row band ti x col band tj into (*ctx.c_tiles)[task], sets the
 // region's cells of *ctx.c_map to the realized densities and accumulates
-// the stats (result-tile counts included). `team` provides intra-task
+// the stats (result-tile counts and the JIT conversions this task made
+// included). `team` provides intra-task
 // parallelism and the locality accounting node.
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task);

@@ -42,8 +42,10 @@ std::uint64_t ResidentTileSet::Retire(std::vector<Tile>* tiles,
     Tile& t = (*tiles)[static_cast<std::size_t>(idx)];
     released += t.MemoryBytes();
     // Keep the bounding box (band bookkeeping may still look at windows)
-    // but drop the payload.
+    // and the placement, but drop the payload.
+    const int home = t.home_node();
     t = Tile::MakeSparse(t.row0(), t.col0(), CsrMatrix(t.rows(), t.cols()));
+    t.set_home_node(home);
   }
   ReleaseCharge(released);
   return released;

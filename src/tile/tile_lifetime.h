@@ -1,9 +1,9 @@
-// Resident-intermediate accounting for fused chain execution (see
-// docs/CHAINS.md): intermediate result tiles stay resident only from the
-// task that produced them until their last consuming task finishes, and
-// this tracker follows that footprint — charging the MemTracker while the
-// tiles live, releasing the charge (and the tile payloads themselves) when
-// a band of tiles is retired.
+// Result-tile accounting for the product executor (see docs/CHAINS.md):
+// every result tile is charged while it lives, and intermediate result
+// tiles stay resident only from the task that produced them until their
+// last consuming task finishes. This tracker follows that footprint —
+// charging the MemTracker while the tiles live, releasing the charge (and
+// the tile payloads themselves) when a band of tiles is retired.
 
 #ifndef ATMX_TILE_TILE_LIFETIME_H_
 #define ATMX_TILE_TILE_LIFETIME_H_
@@ -18,32 +18,33 @@
 
 namespace atmx {
 
-// Thread-safe footprint tracker for the tiles of fused-chain
-// intermediates. Tasks call Charge() as they produce tiles and Retire()
-// when a band's dependency count shows every consumer finished; the peak
-// is the largest intermediate working set the fused execution ever held —
-// the number the resident_peak_bytes stat and the
+// Thread-safe footprint tracker for the result tiles of one executor run.
+// Tasks call Charge() as they produce tiles and Retire() when a band's
+// dependency count shows every consumer finished; the peak is the largest
+// working set (intermediates plus the accumulating result) the run ever
+// held — the number the resident_peak_bytes stat and the
 // `atmult.fused.resident_bytes_peak` gauge report.
 class ResidentTileSet {
  public:
-  // Records `bytes` of freshly produced intermediate tiles (also charged
+  // Records `bytes` of freshly produced result tiles (also charged
   // to the process MemTracker when the observability layer is built in).
   void Charge(std::uint64_t bytes);
 
   // Releases the payloads of `tiles[idx]` for idx in `indices` — each
-  // tile is replaced by an empty sparse tile with the same bounding box —
+  // tile is replaced by an empty sparse tile with the same bounding box
+  // and home node —
   // and uncharges their bytes. Returns the bytes released. Callers must
-  // guarantee no concurrent reader of those tiles (the fused executor's
-  // dependency edges do).
+  // guarantee no concurrent reader of those tiles (the executor's
+  // consumer countdowns do).
   std::uint64_t Retire(std::vector<Tile>* tiles,
                        std::span<const index_t> indices);
 
   // Uncharges without touching any tiles (the root result, whose
-  // ownership passes to the caller at the end of the chain).
+  // ownership passes to the caller at the end of the run).
   void ReleaseCharge(std::uint64_t bytes);
 
   // --- Admission budget (fused chains under a finite memory SLA) ---
-  // Before launching a tile task, the fused executor reserves the task's
+  // Before launching a tile task, the executor reserves the task's
   // projected output bytes against the budget; the reservation stays in
   // place until the task finishes (its produced tiles Charge() real bytes
   // meanwhile, so current + reserved briefly double-counts a running

@@ -238,6 +238,39 @@ TEST(AtMultStatsTest, ConversionsHappenForSparseTimesFullDense) {
   ExpectDenseNear(CsrToDense(expected), CsrToDense(c.ToCsr()), 1e-9);
 }
 
+// One conversion cache per distinct operand matrix: in A * A a tile that
+// both sides want converted converts once, while a distinct copy of A
+// pays for each side.
+TEST(AtMultStatsTest, SelfProductConvertsEachTileAtMostOnce) {
+  AtmConfig config = TestConfig();
+  config.llc_bytes = 16 * 1024;  // keeps the diagonal blocks separate tiles
+  config.num_sockets = 1;
+  config.cores_per_socket = 1;
+  CooMatrix a_coo = GenerateDiagonalDenseBlocks(64, 2, 32, 0.22, 50, 17);
+  ATMatrix a = PartitionToAtm(a_coo, config);
+  const ATMatrix copy = a;
+  AtMult op(config);
+  AtMultStats self;
+  AtMultStats distinct;
+  ATMatrix c_self = op.Multiply(a, a, &self);
+  ATMatrix c_distinct = op.Multiply(a, copy, &distinct);
+
+  const index_t self_conversions =
+      self.sparse_to_dense_conversions + self.dense_to_sparse_conversions;
+  const index_t distinct_conversions = distinct.sparse_to_dense_conversions +
+                                       distinct.dense_to_sparse_conversions;
+  // Both sides convert: with distinct operands that costs more than one
+  // conversion per tile.
+  EXPECT_GT(distinct_conversions, a.num_tiles());
+  EXPECT_GT(self_conversions, 0);
+  EXPECT_LE(self_conversions, a.num_tiles());
+
+  CsrMatrix a_csr = CooToCsr(a_coo);
+  const DenseMatrix expected = CsrToDense(SpGemmCsr(a_csr, a_csr));
+  ExpectDenseNear(expected, CsrToDense(c_self.ToCsr()), 1e-9);
+  ExpectDenseNear(expected, CsrToDense(c_distinct.ToCsr()), 1e-9);
+}
+
 TEST(AtMultTest, ChainedMultiplication) {
   // (A*A)*A via AT MATRIX chaining — the result's density map feeds the
   // next estimate.

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "gen/synthetic.h"
 #include "kernels/sparse_kernels.h"
@@ -17,7 +18,9 @@
 #include "tile/partitioner.h"
 
 #ifdef ATMX_OBS_ENABLED
+#include "kernels/kernel_dispatch.h"
 #include "obs/mem_tracker.h"
+#include "obs/metrics.h"
 #endif
 
 namespace atmx {
@@ -31,6 +34,65 @@ AtmConfig ChainConfig() {
   config.b_atomic = 16;
   config.llc_bytes = 1 << 20;
   return config;
+}
+
+// Exact equality of two results — structure AND values, element by
+// element (operator== on the vectors would hide which element diverged).
+void ExpectBitwiseEqual(const CsrMatrix& x, const CsrMatrix& y,
+                        const std::string& tag) {
+  ASSERT_EQ(x.rows(), y.rows()) << tag;
+  ASSERT_EQ(x.cols(), y.cols()) << tag;
+  ASSERT_EQ(x.nnz(), y.nnz()) << tag;
+  EXPECT_EQ(x.row_ptr(), y.row_ptr()) << tag;
+  EXPECT_EQ(x.col_idx(), y.col_idx()) << tag;
+  for (std::size_t i = 0; i < x.values().size(); ++i) {
+    ASSERT_EQ(x.values()[i], y.values()[i]) << tag << " value index " << i;
+  }
+}
+
+// Product-at-a-time reference built only from the public API: evaluates
+// the plan tree for the subchain (i..j) in post-order with
+// AtMult::Multiply. Product p (post-order id, counted in `*next`) runs
+// under an operator whose rho_write is `rho_w[p]` and whose memory limit
+// is unbounded, so the water level's fast path returns exactly that
+// threshold.
+ATMatrix ProductAtATime(const std::vector<const ATMatrix*>& chain,
+                        const ChainPlan& plan, const AtmConfig& config,
+                        const std::vector<double>& rho_w, int i, int j,
+                        std::size_t* next) {
+  if (i == j) return *chain[static_cast<std::size_t>(i)];
+  const int k = plan.split[static_cast<std::size_t>(i)]
+                          [static_cast<std::size_t>(j)];
+  const ATMatrix left = ProductAtATime(chain, plan, config, rho_w, i, k, next);
+  const ATMatrix right =
+      ProductAtATime(chain, plan, config, rho_w, k + 1, j, next);
+  AtmConfig product_config = config;
+  product_config.rho_write = rho_w.at((*next)++);
+  product_config.result_mem_limit_bytes =
+      std::numeric_limits<std::size_t>::max();
+  AtMultStats stats;
+  ATMatrix product =
+      AtMult(product_config).Multiply(left, right, &stats);
+  EXPECT_EQ(stats.effective_write_threshold, product_config.rho_write);
+  return product;
+}
+
+CsrMatrix ProductAtATime(const std::vector<const ATMatrix*>& chain,
+                         const ChainPlan& plan, const AtmConfig& config,
+                         const std::vector<double>& rho_w) {
+  std::size_t next = 0;
+  ATMatrix result = ProductAtATime(chain, plan, config, rho_w, 0,
+                                   static_cast<int>(chain.size()) - 1, &next);
+  EXPECT_EQ(next, rho_w.size());
+  return result.ToCsr();
+}
+
+std::vector<double> PlannedThresholds(const ChainExecStats& stats) {
+  std::vector<double> rho_w;
+  for (const AtMultStats& p : stats.per_product) {
+    rho_w.push_back(p.effective_write_threshold);
+  }
+  return rho_w;
 }
 
 TEST(ChainCostTest, ScalesWithExpectedIntermediates) {
@@ -186,9 +248,13 @@ TEST(ChainExecuteTest, FourMatrixChain) {
   ExpectDenseNear(expected, CsrToDense(result.ToCsr()), 1e-8);
 }
 
-// Fused execution must be indistinguishable from product-at-a-time: the
-// same per-tile pipeline runs on the same inputs in both modes, so the
+// Fused execution must be indistinguishable from one batch per product:
+// the same per-tile pipeline runs on the same inputs in both modes, so the
 // result must match bitwise — structure AND values — for any team count.
+// The public-API product-at-a-time oracle (AtMult::Multiply per product)
+// matches bitwise too: full ATMULT results are bitwise reproducible
+// (docs/KERNELS.md), and the executor's region-by-region estimates equal
+// Multiply's full pre-pass.
 TEST(ChainExecuteTest, FusedMatchesUnfusedBitwiseAcrossTeams) {
   std::vector<CooMatrix> coos;
   coos.push_back(RandomCoo(64, 48, 700, 30));
@@ -226,23 +292,21 @@ TEST(ChainExecuteTest, FusedMatchesUnfusedBitwiseAcrossTeams) {
     CsrMatrix unfused = ExecuteChain(chain, plan, AtMult(unfused_config),
                                      &unfused_stats)
                             .ToCsr();
-    EXPECT_TRUE(fused_stats.fused) << "teams=" << teams;
-    EXPECT_GT(fused_stats.fused_tasks, 0) << "teams=" << teams;
-    EXPECT_FALSE(unfused_stats.fused) << "teams=" << teams;
+    const std::string tag = "teams=" + std::to_string(teams);
+    EXPECT_TRUE(fused_stats.fused) << tag;
+    EXPECT_GT(fused_stats.fused_tasks, 0) << tag;
+    EXPECT_FALSE(unfused_stats.fused) << tag;
     EXPECT_EQ(fused_stats.per_product.size(), unfused_stats.per_product.size())
-        << "teams=" << teams;
+        << tag;
+    EXPECT_EQ(fused_stats.total.pair_multiplications,
+              unfused_stats.total.pair_multiplications)
+        << tag;
 
-    ASSERT_EQ(fused.rows(), unfused.rows()) << "teams=" << teams;
-    ASSERT_EQ(fused.cols(), unfused.cols()) << "teams=" << teams;
-    ASSERT_EQ(fused.nnz(), unfused.nnz()) << "teams=" << teams;
-    EXPECT_EQ(fused.row_ptr(), unfused.row_ptr()) << "teams=" << teams;
-    EXPECT_EQ(fused.col_idx(), unfused.col_idx()) << "teams=" << teams;
-    // Element-wise exact equality (operator== on the vectors would hide
-    // which element diverged).
-    for (std::size_t i = 0; i < fused.values().size(); ++i) {
-      ASSERT_EQ(fused.values()[i], unfused.values()[i])
-          << "teams=" << teams << " value index " << i;
-    }
+    ExpectBitwiseEqual(fused, unfused, tag + " fused vs per-node");
+    ExpectBitwiseEqual(
+        fused,
+        ProductAtATime(chain, plan, config, PlannedThresholds(fused_stats)),
+        tag + " fused vs product-at-a-time oracle");
   }
 }
 
@@ -302,9 +366,10 @@ std::vector<CooMatrix> BudgetChainCoos() {
 
 // A finite memory SLA must no longer silently disable fusion: the
 // chain-scope water level plans per-product write thresholds against the
-// shared budget, BOTH executors run at those thresholds, and results stay
-// bitwise identical at every budget. A budget below the minimum
-// achievable footprint downgrades to product-at-a-time with reason
+// shared budget, both execution modes run at those thresholds, and results
+// stay bitwise identical at every budget — to each other and to the
+// public-API product-at-a-time oracle. A budget below the minimum
+// achievable footprint downgrades to one batch per product with reason
 // "budget_infeasible" — and stays bitwise identical even then.
 TEST(ChainExecuteTest, FiniteBudgetFusedMatchesUnfusedBitwise) {
   const std::vector<CooMatrix> coos = BudgetChainCoos();
@@ -407,15 +472,13 @@ TEST(ChainExecuteTest, FiniteBudgetFusedMatchesUnfusedBitwise) {
             << tag << " product " << p;
       }
 
-      ASSERT_EQ(fused.rows(), unfused.rows()) << tag;
-      ASSERT_EQ(fused.cols(), unfused.cols()) << tag;
-      ASSERT_EQ(fused.nnz(), unfused.nnz()) << tag;
-      EXPECT_EQ(fused.row_ptr(), unfused.row_ptr()) << tag;
-      EXPECT_EQ(fused.col_idx(), unfused.col_idx()) << tag;
-      for (std::size_t i = 0; i < fused.values().size(); ++i) {
-        ASSERT_EQ(fused.values()[i], unfused.values()[i])
-            << tag << " value index " << i;
-      }
+      ExpectBitwiseEqual(fused, unfused, tag + " fused vs per-node");
+      // The oracle runs every product at the chain-planned threshold the
+      // executor reported, with no budget of its own.
+      ExpectBitwiseEqual(
+          fused,
+          ProductAtATime(chain, plan, config, PlannedThresholds(fused_stats)),
+          tag + " fused vs product-at-a-time oracle");
     }
   }
 }
@@ -492,16 +555,21 @@ TEST(ChainExecuteTest, FallbackReasonsAreRecorded) {
   CooMatrix b_coo = RandomCoo(48, 48, 400, 61);
   CooMatrix c_coo = RandomCoo(48, 48, 400, 62);
 
-  // Two matrices: one product — nothing to fuse.
+  // Two matrices: a one-node DAG, exactly what AtMult::Multiply runs.
   {
     ATMatrix a = PartitionToAtm(a_coo, base);
     ATMatrix b = PartitionToAtm(b_coo, base);
     ChainPlan plan = PlanChain({&a.density_map(), &b.density_map()},
                                CostModel(), base.rho_write);
     ChainExecStats stats;
-    ExecuteChain({&a, &b}, plan, AtMult(base), &stats);
-    EXPECT_FALSE(stats.fused);
-    EXPECT_EQ(stats.fallback_reason, "short_chain");
+    CsrMatrix chained = ExecuteChain({&a, &b}, plan, AtMult(base), &stats)
+                            .ToCsr();
+    EXPECT_TRUE(stats.fused);
+    EXPECT_TRUE(stats.fallback_reason.empty());
+    EXPECT_GT(stats.fused_tasks, 0);
+    EXPECT_EQ(stats.per_product.size(), 1u);
+    ExpectBitwiseEqual(chained, AtMult(base).Multiply(a, b).ToCsr(),
+                       "two-matrix chain vs Multiply");
   }
 
   // Finite budget without density estimation: the chain-scope water
@@ -558,6 +626,61 @@ TEST(ChainExecStatsTest, AccumulateReportsMinimumWriteThreshold) {
 }
 
 #ifdef ATMX_OBS_ENABLED
+// Every product records the per-product operator telemetry exactly once,
+// fused or one batch per product.
+TEST(ChainExecuteTest, EveryProductRecordsOperatorTelemetry) {
+  AtmConfig config = ChainConfig();
+  std::vector<ATMatrix> atms;
+  for (std::uint64_t seed : {70, 71, 72}) {
+    atms.push_back(PartitionToAtm(RandomCoo(48, 48, 400, seed), config));
+  }
+  std::vector<const ATMatrix*> chain = {&atms[0], &atms[1], &atms[2]};
+  ChainPlan plan = PlanChain(
+      {&atms[0].density_map(), &atms[1].density_map(),
+       &atms[2].density_map()},
+      CostModel(), config.rho_write);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  auto kernel_total = [&registry] {
+    std::uint64_t total = 0;
+    for (int v = 0; v < kNumKernelTypes; ++v) {
+      total += registry.GetCounter(KernelMetricName(static_cast<KernelType>(v)))
+                   .Value();
+    }
+    return total;
+  };
+  for (bool fused : {true, false}) {
+    config.fused_chains = fused;
+    const std::uint64_t ops0 =
+        registry.GetCounter("atmult.operations").Value();
+    const std::uint64_t pairs0 = registry.GetCounter("atmult.pairs").Value();
+    const std::uint64_t kernels0 = kernel_total();
+    ChainExecStats stats;
+    ExecuteChain(chain, plan, AtMult(config), &stats);
+    const std::string tag = fused ? "fused" : "per-node";
+    ASSERT_EQ(stats.fused, fused) << tag;
+    ASSERT_EQ(stats.per_product.size(), 2u) << tag;
+    EXPECT_EQ(registry.GetCounter("atmult.operations").Value() - ops0, 2u)
+        << tag;
+    EXPECT_GT(stats.total.pair_multiplications, 0) << tag;
+    EXPECT_EQ(registry.GetCounter("atmult.pairs").Value() - pairs0,
+              static_cast<std::uint64_t>(stats.total.pair_multiplications))
+        << tag;
+    EXPECT_EQ(kernel_total() - kernels0,
+              static_cast<std::uint64_t>(stats.total.TotalKernelInvocations()))
+        << tag;
+  }
+  // One estimator-error sample per result block of every product (two
+  // 48x48 products, 3x3 blocks each), per run.
+  const std::uint64_t samples =
+      registry.GetHistogram("atmult.estimator.abs_error").TotalCount();
+  config.fused_chains = true;
+  ExecuteChain(chain, plan, AtMult(config));
+  EXPECT_EQ(
+      registry.GetHistogram("atmult.estimator.abs_error").TotalCount() -
+          samples,
+      2u * 9u);
+}
+
 // End-to-end memory SLA check: the process-wide logical high water of a
 // budgeted fused chain stays within budget + operand overhead. The
 // MemTracker also counts JIT-converted operand copies (outside the

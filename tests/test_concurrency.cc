@@ -61,16 +61,19 @@ TEST(ConcurrencyTest, ConversionCacheUnderContention) {
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   std::vector<const DenseMatrix*> results(kThreads, nullptr);
+  std::vector<index_t> conversions(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      double seconds = 0.0;
-      results[t] =
-          &cache.GetDense(ConversionCache::kLeft, 5, tile, &seconds);
+      results[t] = &cache.GetDense(5, tile, &conversions[t]);
     });
   }
   for (auto& t : threads) t.join();
-  // Exactly one conversion; everyone sees the same payload.
+  // Exactly one conversion, reported to exactly one caller; everyone sees
+  // the same payload.
   EXPECT_EQ(cache.sparse_to_dense_count(), 1);
+  index_t reported = 0;
+  for (index_t c : conversions) reported += c;
+  EXPECT_EQ(reported, 1);
   for (int t = 1; t < kThreads; ++t) {
     EXPECT_EQ(results[t], results[0]);
   }

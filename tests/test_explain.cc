@@ -73,6 +73,36 @@ TEST(ExplainTest, PredictsConversions) {
                 stats.dense_to_sparse_conversions);
 }
 
+// A * A shares one conversion record between the two sides, exactly as
+// execution shares one conversion cache; a distinct copy of A keeps one
+// record per side.
+TEST(ExplainTest, SelfProductPredictsSharedConversions) {
+  AtmConfig config = ExplainConfig();
+  config.llc_bytes = 16 * 1024;
+  config.num_sockets = 1;
+  config.cores_per_socket = 1;
+  CooMatrix coo = GenerateDiagonalDenseBlocks(64, 2, 32, 0.22, 50, 17);
+  ATMatrix atm = PartitionToAtm(coo, config);
+  const ATMatrix copy = atm;
+  AtMult op(config);
+
+  AtMultStats self;
+  op.Multiply(atm, atm, &self);
+  const MultiplyPlan self_plan = ExplainMultiply(atm, atm, config);
+  EXPECT_GT(self_plan.planned_conversions, 0);
+  EXPECT_EQ(self_plan.planned_conversions,
+            self.sparse_to_dense_conversions +
+                self.dense_to_sparse_conversions);
+
+  AtMultStats distinct;
+  op.Multiply(atm, copy, &distinct);
+  const MultiplyPlan distinct_plan = ExplainMultiply(atm, copy, config);
+  EXPECT_GT(distinct_plan.planned_conversions, self_plan.planned_conversions);
+  EXPECT_EQ(distinct_plan.planned_conversions,
+            distinct.sparse_to_dense_conversions +
+                distinct.dense_to_sparse_conversions);
+}
+
 TEST(ExplainTest, EstimateFieldsPopulated) {
   AtmConfig config = ExplainConfig();
   CooMatrix coo = RandomCoo(64, 64, 600, 2);

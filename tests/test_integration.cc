@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "gen/synthetic.h"
 #include "gen/workloads.h"
 #include "kernels/sparse_kernels.h"
@@ -124,9 +126,10 @@ TEST(IntegrationTest, ExportRoundTripThroughMatrixMarket) {
   AtMult op(config);
   ATMatrix c = op.Multiply(atm, atm);
 
-  const std::string path = ::testing::TempDir() + "/result.mtx";
+  const std::string path = atmx::testing::UniqueTempPath("result.mtx");
   ASSERT_TRUE(WriteMatrixMarket(c.ToCoo(), path).ok());
   Result<CooMatrix> read = ReadMatrixMarket(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value().nnz(), c.nnz());
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -26,7 +27,7 @@ namespace {
 using ::atmx::testing::RandomCoo;
 
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::atmx::testing::UniqueTempPath(name);
 }
 
 std::vector<char> ReadFile(const std::string& path) {
@@ -142,6 +143,12 @@ std::vector<Subject> WriteSubjects() {
   return subjects;
 }
 
+void RemoveFiles(const std::vector<Subject>& subjects,
+                 const std::string& scratch) {
+  for (const Subject& subject : subjects) std::remove(subject.path.c_str());
+  std::remove(scratch.c_str());
+}
+
 TEST(SerializeFuzzTest, RoundTripThenValidate) {
   AtmConfig config;
   config.b_atomic = 16;
@@ -206,6 +213,7 @@ TEST(SerializeFuzzTest, TruncationAtEveryBoundaryReturnsStatus) {
       }
     }
   }
+  RemoveFiles(subjects, path);
 }
 
 TEST(SerializeFuzzTest, RandomByteCorruptionNeverCrashes) {
@@ -229,6 +237,7 @@ TEST(SerializeFuzzTest, RandomByteCorruptionNeverCrashes) {
           << "round " << round;
     }
   }
+  RemoveFiles(subjects, path);
 }
 
 TEST(SerializeFuzzTest, DeclaredLengthBeyondFileIsRejected) {

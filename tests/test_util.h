@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <string>
 
 #include "common/rng.h"
 #include "storage/convert.h"
@@ -61,6 +64,21 @@ inline void ExpectCsrNearDense(const DenseMatrix& expected,
 inline void ExpectAtmNearDense(const DenseMatrix& expected,
                                const ATMatrix& actual, double tol = 1e-9) {
   ExpectDenseNear(expected, CsrToDense(actual.ToCsr()), tol);
+}
+
+// A scratch-file path under ::testing::TempDir() that is unique to the
+// running test and process: `ctest -j` runs every test as its own process
+// in parallel, so a fixed file name lets tests overwrite each other's
+// files mid-read.
+inline std::string UniqueTempPath(const std::string& name) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string prefix = "atmx";
+  if (info != nullptr) {
+    prefix = std::string(info->test_suite_name()) + "." + info->name();
+  }
+  return ::testing::TempDir() + "/" + prefix + "." +
+         std::to_string(::getpid()) + "." + name;
 }
 
 }  // namespace atmx::testing
