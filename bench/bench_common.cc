@@ -84,7 +84,8 @@ void EnableTracingTo(const std::string& path) {
   static bool registered = false;
   *TraceOutPath() = path;
   obs::TraceRecorder::Global().Enable();
-  obs::DecisionLog::Global().SetEnabled(true);
+  // Decision records too, in memory only: no ledger file is armed.
+  obs::AuditLedger::Global().SetEnabled(true);
   if (!registered) {
     registered = true;
     std::atexit(FlushTraceAtExit);

@@ -90,7 +90,8 @@ std::string FmtSpeedup(const BaselineResult& baseline, double atmult_seconds);
 std::string FmtRel(const BaselineResult& baseline,
                    const BaselineResult& reference);
 
-// Arms the trace recorder + decision log and registers an atexit hook
+// Arms the trace recorder + audit-ledger recording (in memory; no ledger
+// file unless --audit-out is given) and registers an atexit hook
 // that writes the Chrome trace JSON to `path`. With a library built under
 // ATMX_OBS=OFF this prints a warning and does nothing. Idempotent; the
 // last path wins.

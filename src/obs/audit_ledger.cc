@@ -23,8 +23,7 @@ namespace {
 
 // Shortest-round-trip double formatting: the counterfactual replay must
 // see exactly the values the recording process decided with, so ledger
-// doubles are written with full precision (unlike the %.6g decision-log
-// renderings, which are display-only).
+// doubles are written with full precision.
 std::string FmtD(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -152,10 +151,20 @@ void AuditLedger::RecordSpaMode(const SpaModeAuditRecord& r) {
   Append(doc_.spa_mode, r);
 }
 
+bool ReprAuditRecord::a_converted() const {
+  bool a = false, b = false, c = false;
+  return DecodeKernel(kernel, &a, &b, &c) && a != a_stored_dense;
+}
+
+bool ReprAuditRecord::b_converted() const {
+  bool a = false, b = false, c = false;
+  return DecodeKernel(kernel, &a, &b, &c) && b != b_stored_dense;
+}
+
 void AuditLedger::RecordRepr(const ReprAuditRecord& r) {
   static Histogram& hist = MetricsRegistry::Global().GetHistogram(
       "estimator.err.repr", ErrBounds());
-  if (r.rho_c_actual >= 0.0) {
+  if (r.rho_c_pred >= 0.0 && r.rho_c_actual >= 0.0) {
     hist.Observe(SymmetricRelError(r.rho_c_pred, r.rho_c_actual));
   }
   MutexLock lock(mutex_);
@@ -179,6 +188,13 @@ AuditLedgerDoc AuditLedger::Snapshot() const {
   AuditLedgerDoc copy = doc_;
   copy.git_sha = GitShaFromEnv();
   return copy;
+}
+
+std::vector<ReprAuditRecord> AuditLedger::ReprTail(std::size_t n) const {
+  MutexLock lock(mutex_);
+  const std::size_t first = doc_.repr.size() - std::min(n, doc_.repr.size());
+  return std::vector<ReprAuditRecord>(
+      doc_.repr.begin() + static_cast<long>(first), doc_.repr.end());
 }
 
 void AuditLedger::Clear() {
@@ -292,12 +308,15 @@ void RenderRepr(std::ostringstream& os, const ReprAuditRecord& r) {
 }
 
 void RenderChain(std::ostringstream& os, const ChainAuditRecord& r) {
-  os << "{\"op\":" << FmtU64(r.op)
-     << ",\"planned_cost\":" << FmtD(r.planned_cost)
+  os << "{\"op\":" << FmtU64(r.op) << ",\"plan\":\"" << EscapeJson(r.plan)
+     << "\",\"planned_cost\":" << FmtD(r.planned_cost)
      << ",\"alternative_cost\":" << FmtD(r.alternative_cost)
      << ",\"fused\":" << (r.fused ? "true" : "false")
+     << ",\"fallback_reason\":\"" << EscapeJson(r.fallback_reason)
+     << "\",\"fused_tasks\":" << r.fused_tasks
      << ",\"seconds\":" << FmtD(r.measured_seconds)
      << ",\"budget_bytes\":" << FmtU64(r.budget_bytes)
+     << ",\"projected_peak_bytes\":" << FmtU64(r.projected_peak_bytes)
      << ",\"resident_peak_bytes\":" << FmtU64(r.resident_peak_bytes)
      << ",\"rho_w\":[";
   for (std::size_t i = 0; i < r.rho_w.size(); ++i) {
@@ -308,9 +327,9 @@ void RenderChain(std::ostringstream& os, const ChainAuditRecord& r) {
 }
 
 template <typename Record, typename Renderer>
-void RenderArray(std::ostringstream& os, const char* name,
-                 const std::vector<Record>& records, Renderer render) {
-  os << ",\"" << name << "\":[";
+void RenderRecords(std::ostringstream& os, const std::vector<Record>& records,
+                   Renderer render) {
+  os << '[';
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (i > 0) os << ",\n";
     render(os, records[i]);
@@ -318,7 +337,21 @@ void RenderArray(std::ostringstream& os, const char* name,
   os << ']';
 }
 
+template <typename Record, typename Renderer>
+void RenderArray(std::ostringstream& os, const char* name,
+                 const std::vector<Record>& records, Renderer render) {
+  os << ",\"" << name << "\":";
+  RenderRecords(os, records, render);
+}
+
 }  // namespace
+
+std::string RenderReprRecordsJson(
+    const std::vector<ReprAuditRecord>& records) {
+  std::ostringstream os;
+  RenderRecords(os, records, RenderRepr);
+  return os.str();
+}
 
 std::string RenderAuditLedgerJson(const AuditLedgerDoc& doc) {
   std::ostringstream os;
@@ -500,11 +533,15 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
     for (const JsonValue& v : arr->array) {
       ChainAuditRecord r;
       r.op = U64Field(v, "op");
+      r.plan = v.StringOr("plan", "");
       r.planned_cost = v.NumberOr("planned_cost", 0.0);
       r.alternative_cost = v.NumberOr("alternative_cost", 0.0);
       r.fused = v.BoolOr("fused", false);
+      r.fallback_reason = v.StringOr("fallback_reason", "");
+      r.fused_tasks = IndexField(v, "fused_tasks");
       r.measured_seconds = v.NumberOr("seconds", 0.0);
       r.budget_bytes = U64Field(v, "budget_bytes");
+      r.projected_peak_bytes = U64Field(v, "projected_peak_bytes");
       r.resident_peak_bytes = U64Field(v, "resident_peak_bytes");
       if (const JsonValue* rw = v.Find("rho_w");
           rw != nullptr && rw->is_array()) {
@@ -640,7 +677,9 @@ AuditReport BuildAuditReport(const AuditLedgerDoc& doc, std::size_t worst_n) {
     const CostModel model(doc.cost_params);
     std::vector<double> errs;
     for (const ReprAuditRecord& r : doc.repr) {
-      if (r.rho_c_actual < 0.0) continue;
+      // Without an estimate there is no prediction to replay; skipping
+      // keeps such records from inventing regret.
+      if (r.rho_c_pred < 0.0 || r.rho_c_actual < 0.0) continue;
       bool la = false, lb = false, lc = false;
       if (!DecodeKernel(r.kernel, &la, &lb, &lc)) continue;
       ++rep.repr_considered;
@@ -931,6 +970,7 @@ void InjectDensityMisestimate(AuditLedgerDoc* doc, double scale) {
     r.predicted = PushAway(r.predicted, r.actual, scale, 1.0);
   }
   for (ReprAuditRecord& r : doc->repr) {
+    if (r.rho_c_pred < 0.0) continue;
     const double actual = r.rho_c_actual >= 0.0 ? r.rho_c_actual : 0.0;
     r.rho_c_pred = PushAway(r.rho_c_pred, actual, scale, 1.0);
   }

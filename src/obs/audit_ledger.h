@@ -1,22 +1,26 @@
-// Prediction-vs-outcome audit ledger: joins every cost-model-driven
-// decision with its measured outcome so estimator calibration is a
-// measured quantity, not a belief. Six decision classes are tracked:
+// Prediction-vs-outcome audit ledger: the one record of the optimizer's
+// decisions. It joins every cost-model-driven decision with its measured
+// outcome so estimator calibration is a measured quantity, not a belief.
+// Six decision classes are tracked:
 //
 //   density    predicted vs actual result density per atomic block
 //   cost       predicted task cost (model units) vs measured wall time
 //   waterlevel projected result bytes vs materialized result bytes
 //   spa_mode   predicted vs realized rows-nnz feeding SPA ChooseMode
-//   repr       per-pair representation decisions with full replay inputs
-//   chain      chain plan cost vs measured execution time
+//   repr       every per-pair representation decision (kernel, JIT
+//              conversions, cost scores) with full replay inputs
+//   chain      chain plan, fusion outcome and cost vs measured time
 //
 // Each record observes a bounded symmetric relative error into an
 // `estimator.err.<class>` histogram (OpenMetrics `/metrics`, flight
 // recorder tail) and is retained for the schema-versioned JSON ledger
-// file (`--audit-out` / `ATMX_AUDIT_OUT`). `atmx audit` replays a ledger
+// file (`--audit-out` / `ATMX_AUDIT_OUT`). The same retained records back
+// `atmx trace` / `atmx decisions`, the stats server's `/decisions` route
+// and the flight recorder's decision tail. `atmx audit` replays a ledger
 // offline: error distributions (p50/p95/max), worst-N mispredictions, and
 // a counterfactual pass that re-runs the cost model with *measured* inputs to count "regret"
 // decisions — choices that would flip with perfect estimates. See
-// docs/OBSERVABILITY.md ("Prediction audit").
+// docs/OBSERVABILITY.md ("Decision audit").
 //
 // Locking discipline: record paths take the ledger mutex only to append;
 // serialization snapshots under the mutex and performs all file I/O
@@ -102,26 +106,41 @@ struct ReprAuditRecord {
   index_t k0 = 0, k1 = 0;    // contraction window of this pair
   index_t m = 0, k = 0, n = 0;
   double rho_a = 0.0, rho_b = 0.0;  // exact operand window densities
-  double rho_c_pred = 0.0;   // estimated result-region density
+  // Estimated result-region density; < 0 = no estimate (density
+  // estimation off), which the replay skips.
+  double rho_c_pred = 0.0;
   double rho_c_actual = 0.0; // measured result-tile density
   double rho_w = 0.0;
   bool a_stored_dense = false, b_stored_dense = false;
   bool a_cached = false, b_cached = false;  // JIT conversion cache hits
+  // False when dynamic conversion is off: the stored representations
+  // were used as they are.
   bool allow_conversion = false;
   bool c_dense = false;      // chosen C representation
   int kernel = 0;            // chosen KernelType
   double stored_cost = 0.0, chosen_cost = 0.0;
+
+  // Whether the decision converted an operand just in time: the chosen
+  // kernel's operand representation differs from the stored one.
+  bool a_converted() const;
+  bool b_converted() const;
 };
 
 struct ChainAuditRecord {
   std::uint64_t op = 0;
+  std::string plan;                // parenthesization, e.g. "((A0*A1)*A2)"
   double planned_cost = 0.0;       // chosen parenthesization, model units
   double alternative_cost = 0.0;   // left-to-right baseline
   bool fused = false;
+  // Why fusion was declined ("" when fused): "disabled", "no_estimation"
+  // or "budget_infeasible".
+  std::string fallback_reason;
+  index_t fused_tasks = 0;         // tile tasks in the DAG (0 unfused)
   double measured_seconds = 0.0;
-  // Chain-scope memory budget (0 = unbounded) and the measured resident
-  // peak the execution reached under it.
+  // Chain-scope memory budget (0 = unbounded), the water-level projected
+  // peak and the measured resident peak the execution reached under it.
   std::uint64_t budget_bytes = 0;
+  std::uint64_t projected_peak_bytes = 0;
   std::uint64_t resident_peak_bytes = 0;
   // Effective write threshold per product (post-order; joins against the
   // waterlevel class per product via `atmx audit`).
@@ -150,6 +169,9 @@ struct AuditLedgerDoc {
 };
 
 std::string RenderAuditLedgerJson(const AuditLedgerDoc& doc);
+// The bare JSON array of `records`, rendered as in the ledger's "repr"
+// class (the `/decisions` route and the flight-recorder tail).
+std::string RenderReprRecordsJson(const std::vector<ReprAuditRecord>& records);
 [[nodiscard]] Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text);
 [[nodiscard]] Result<AuditLedgerDoc> LoadAuditLedger(const std::string& path);
 
@@ -236,12 +258,19 @@ class AuditLedger {
  public:
   static AuditLedger& Global();
 
-  // Recording is off by default; bench_common arms it for --audit-out /
-  // ATMX_AUDIT_OUT runs and tests flip it directly.
+  // Recording is off by default (a record is a mutex-guarded append).
+  // bench_common arms it for --audit-out / ATMX_AUDIT_OUT runs and enables
+  // it for traced runs; `atmx trace` / `atmx decisions` and tests flip it
+  // directly.
   void SetEnabled(bool enabled) {
     enabled_.store(enabled, std::memory_order_relaxed);
   }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+
+  // Fresh op id grouping one operation's records.
+  std::uint64_t NextOpId() {
+    return next_op_id_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   // Stamps the cost parameters the recording operation decided with
   // (required for counterfactual replay; last writer wins).
@@ -255,6 +284,10 @@ class AuditLedger {
   void RecordChain(const ChainAuditRecord& r);
 
   AuditLedgerDoc Snapshot() const;
+  // The last min(n, retained) repr records, oldest first. Copies only
+  // those under the mutex, so periodic readers (the flight recorder's
+  // sampler tick, `/decisions`) do not copy the whole document.
+  std::vector<ReprAuditRecord> ReprTail(std::size_t n) const;
   void Clear();
 
   std::string ToJson() const;
@@ -267,12 +300,16 @@ class AuditLedger {
   bool armed() const;
   [[nodiscard]] Status FlushArmed() const;
 
+  // Per-class retention cap: the first records of each class are kept,
+  // later ones are counted as dropped, not stored (the error histograms
+  // still see every observation). ReprTail therefore returns the last
+  // *retained* records.
+  static constexpr std::size_t kMaxRecordsPerClass = 1u << 16;
+  // Repr records served by `/decisions` and the flight-recorder tail.
+  static constexpr std::size_t kDecisionTail = 2048;
+
  private:
   AuditLedger() = default;
-
-  // Per-class retention cap: beyond it records are counted as dropped,
-  // not stored (the error histograms still see every observation).
-  static constexpr std::size_t kMaxRecordsPerClass = 1u << 16;
 
   template <typename Record>
   void Append(std::vector<Record>& dst, const Record& r)
@@ -285,6 +322,7 @@ class AuditLedger {
   }
 
   std::atomic<bool> enabled_{false};
+  std::atomic<std::uint64_t> next_op_id_{1};
   mutable Mutex mutex_;
   AuditLedgerDoc doc_ ATMX_GUARDED_BY(mutex_);
   // Running totals for the live cost-class histogram scale.

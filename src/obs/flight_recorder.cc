@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/check.h"
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/json_util.h"
 #include "obs/mem_tracker.h"
 #include "obs/metrics.h"
@@ -84,7 +84,6 @@ Status FlightRecorder::Install(const Options& options) {
           "flight recorder output path too long: " + path);
     }
     std::memcpy(path_, path.c_str(), path.size() + 1);
-    options_ = options;
     dumped_.store(false, std::memory_order_relaxed);
   }
   installed_.store(true, std::memory_order_release);
@@ -118,24 +117,13 @@ void FlightRecorder::Uninstall() {
 void FlightRecorder::Refresh() {
   if (!installed()) return;
   if (dumped_.load(std::memory_order_acquire)) return;
-  std::size_t max_events;
-  std::size_t max_decisions;
-  {
-    MutexLock lock(mu_);
-    max_events = options_.max_trace_events;
-    max_decisions = options_.max_decisions;
-  }
-
   std::vector<TraceEvent> events = TraceRecorder::Global().Snapshot();
-  if (events.size() > max_events) {
+  if (events.size() > kMaxTraceEvents) {
     events.erase(events.begin(),
-                 events.end() - static_cast<long>(max_events));
+                 events.end() - static_cast<long>(kMaxTraceEvents));
   }
-  std::vector<DecisionRecord> decisions = DecisionLog::Global().Snapshot();
-  if (decisions.size() > max_decisions) {
-    decisions.erase(decisions.begin(),
-                    decisions.end() - static_cast<long>(max_decisions));
-  }
+  const std::vector<ReprAuditRecord> decisions =
+      AuditLedger::Global().ReprTail(AuditLedger::kDecisionTail);
   std::string body;
   body.reserve(1 << 14);
   body += "\"mem_high_water_bytes\":";
@@ -143,7 +131,7 @@ void FlightRecorder::Refresh() {
   body += ",\"metrics\":";
   body += MetricsRegistry::Global().ToJson();
   body += ",\"decisions\":";
-  body += RenderDecisionRecordsJson(decisions);
+  body += RenderReprRecordsJson(decisions);
   body += ",\"trace\":";
   body += RenderTraceEventsJson(events);
 

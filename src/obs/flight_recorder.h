@@ -1,8 +1,8 @@
 // Crash flight recorder: persists the observability state — bounded trace
-// tail, metrics snapshot, decision log, logical memory high-water — to
-// `atmx_flight_<pid>.json` when the process dies violently (fatal signal
-// or ATMX_CHECK failure), so a crash in a long run is debuggable instead
-// of mute.
+// tail, metrics snapshot, decision-record tail, logical memory high-water
+// — to `atmx_flight_<pid>.json` when the process dies violently (fatal
+// signal or ATMX_CHECK failure), so a crash in a long run is debuggable
+// instead of mute.
 //
 // Async-signal-safety strategy: nothing is rendered in the handler. A
 // full JSON body is pre-rendered into one of two double-buffered strings
@@ -40,15 +40,15 @@ class FlightRecorder {
   struct Options {
     // Directory receiving atmx_flight_<pid>.json.
     std::string output_dir = ".";
-    // Trace events kept in the dump (newest last). The full ring can be
-    // megabytes; a crash dump wants the tail.
-    std::size_t max_trace_events = 1024;
-    // Decision records kept in the dump (newest last), for the same
-    // reason: the decision ring holds 64 Ki records, and Refresh runs
-    // once per sampler tick — rendering the full ring there would make
-    // the sampler the most expensive thread in the process.
-    std::size_t max_decisions = 2048;
   };
+
+  // The dump keeps tails, newest last: the last kMaxTraceEvents trace
+  // events and the last AuditLedger::kDecisionTail *retained* repr
+  // records (the ledger keeps the first 64 Ki per class). Refresh runs
+  // once per sampler tick — rendering the full trace ring or the whole
+  // ledger there would make the sampler the most expensive thread in the
+  // process.
+  static constexpr std::size_t kMaxTraceEvents = 1024;
 
   static FlightRecorder& Global();
 
@@ -100,7 +100,6 @@ class FlightRecorder {
   bool WriteDumpFile(int sig, const char* reason);
 
   mutable Mutex mu_;
-  Options options_ ATMX_GUARDED_BY(mu_);
   // Double buffer: Refresh renders into the string active_ does not point
   // at, then publishes it. The handler reads only through active_.
   std::string bodies_[2] ATMX_GUARDED_BY(mu_);

@@ -63,8 +63,8 @@ struct JsonValue {
 
 // The git sha benchmark and audit documents are stamped with: the
 // ATMX_GIT_SHA environment variable (CI exports it), "unknown" when
-// unset. Shared by BenchReporter, DecisionLog, and AuditLedger so every
-// emitted document carries the same provenance key.
+// unset. Shared by BenchReporter and AuditLedger so every emitted
+// document carries the same provenance key.
 std::string GitShaFromEnv();
 
 }  // namespace atmx::obs

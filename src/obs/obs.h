@@ -38,7 +38,6 @@
 
 #if defined(ATMX_OBS_ENABLED)
 
-#include "obs/decision_log.h"
 #include "obs/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"

@@ -6,7 +6,8 @@
 //   /metrics        OpenMetrics text (exposition.h)
 //   /metrics.json   flat JSON metrics (same document as ToJson)
 //   /trace          current Chrome trace_event ring
-//   /decisions      optimizer decision log (JSON array)
+//   /decisions      last retained per-pair decision records of the audit
+//                   ledger (bare JSON array, AuditLedger::kDecisionTail)
 //   /healthz        "ok" liveness probe
 //
 // Off by default: benches only Start() it when --stats-port= or

@@ -88,8 +88,8 @@ struct ChainExecStats {
 
   bool fused = false;
   // Why fused execution was declined ("" when fused): "disabled",
-  // "no_estimation", or "budget_infeasible". Recorded in the DecisionLog
-  // chain ring and shown by `atmx decisions`.
+  // "no_estimation", or "budget_infeasible". Recorded in the audit
+  // ledger's chain record and shown by `atmx decisions`.
   std::string fallback_reason;
   // Tile tasks in the fused DAG (0 when executed product-at-a-time).
   index_t fused_tasks = 0;
@@ -117,11 +117,12 @@ struct ChainExecStats {
 // intermediate for its resident lifetime) and applied in both modes, and
 // the fused DAG admission-gates tile tasks against it — only a budget no
 // threshold assignment can meet downgrades the chain to one batch per
-// product (reason "budget_infeasible" in stats/DecisionLog). Both modes
-// produce bitwise-identical results at every budget. JIT conversions go
-// through one shared ConversionCache per distinct operand matrix either
-// way, so a matrix appearing in several products converts each tile at
-// most once per chain. `stats`, if non-null, receives the full breakdown.
+// product (reason "budget_infeasible" in stats and the audit ledger).
+// Both modes produce bitwise-identical results at every budget. JIT
+// conversions go through one shared ConversionCache per distinct operand
+// matrix either way, so a matrix appearing in several products converts
+// each tile at most once per chain. `stats`, if non-null, receives the
+// full breakdown.
 ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
                       const ChainPlan& plan, const AtMult& op,
                       ChainExecStats* stats);

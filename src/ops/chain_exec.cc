@@ -319,7 +319,6 @@ ATMatrix ExecuteProducts(const std::vector<ProductNode>& specs,
   const std::size_t n = specs.size();
 
 #if defined(ATMX_OBS_ENABLED)
-  const bool audit_enabled = obs::DecisionLog::Global().enabled();
   const bool ledger_enabled = obs::AuditLedger::Global().enabled();
   if (ledger_enabled) {
     // The counterfactual replay re-runs DecidePairRepresentations with
@@ -399,11 +398,8 @@ ATMatrix ExecuteProducts(const std::vector<ProductNode>& specs,
     node.stats.effective_write_threshold = spec.rho_w;
     node.stats.estimate_seconds = spec.estimate_seconds;
 #if defined(ATMX_OBS_ENABLED)
-    ctx.audit_enabled = audit_enabled;
     ctx.ledger_enabled = ledger_enabled;
-    ctx.op_id = (audit_enabled || ledger_enabled)
-                    ? obs::DecisionLog::Global().NextOpId()
-                    : 0;
+    ctx.op_id = ledger_enabled ? obs::AuditLedger::Global().NextOpId() : 0;
 #endif
   }
   // Retire countdowns: sized by the operand band the parent consumes;

@@ -17,7 +17,7 @@ namespace atmx {
 namespace {
 
 // The "C(ti,tj)", "k range" and "conv" cells of one tile pair, shared by
-// the plan and the decision-log tables.
+// the plan and the decision tables.
 struct PairCells {
   std::string tile;
   std::string k_range;
@@ -79,18 +79,18 @@ std::string MultiplyPlan::ToString(index_t max_pairs) const {
 }
 
 #if defined(ATMX_OBS_ENABLED)
-std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
-                              index_t max_rows) {
+std::string FormatDecisions(const std::vector<obs::ReprAuditRecord>& records,
+                            index_t max_rows) {
   std::ostringstream os;
   index_t conversions = 0;
   double stored_cost = 0.0;
   double chosen_cost = 0.0;
-  for (const obs::DecisionRecord& r : records) {
-    conversions += (r.a_converted ? 1 : 0) + (r.b_converted ? 1 : 0);
+  for (const obs::ReprAuditRecord& r : records) {
+    conversions += (r.a_converted() ? 1 : 0) + (r.b_converted() ? 1 : 0);
     stored_cost += r.stored_cost;
     chosen_cost += r.chosen_cost;
   }
-  os << "DecisionLog: " << records.size() << " decisions, " << conversions
+  os << "Decisions: " << records.size() << " pairs, " << conversions
      << " JIT conversions, cost " << static_cast<long long>(chosen_cost)
      << " units (stored-representation baseline "
      << static_cast<long long>(stored_cost) << ")\n";
@@ -100,14 +100,15 @@ std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
   const index_t shown =
       std::min<index_t>(max_rows, static_cast<index_t>(records.size()));
   for (index_t i = 0; i < shown; ++i) {
-    const obs::DecisionRecord& r = records[i];
-    PairCells cells = FormatPairCells(r.ti, r.tj, r.k0, r.k1, r.a_converted,
-                                      r.b_converted);
-    table.AddRow({std::to_string(r.op_id), std::move(cells.tile),
+    const obs::ReprAuditRecord& r = records[i];
+    PairCells cells = FormatPairCells(r.ti, r.tj, r.k0, r.k1,
+                                      r.a_converted(), r.b_converted());
+    table.AddRow({std::to_string(r.op), std::move(cells.tile),
                   std::move(cells.k_range), TablePrinter::Fmt(r.rho_a, 4),
                   TablePrinter::Fmt(r.rho_b, 4),
-                  TablePrinter::Fmt(r.rho_c, 4),
-                  TablePrinter::Fmt(r.rho_w, 4), KernelTypeName(r.kernel),
+                  r.rho_c_pred < 0.0 ? "-" : TablePrinter::Fmt(r.rho_c_pred, 4),
+                  TablePrinter::Fmt(r.rho_w, 4),
+                  KernelTypeName(static_cast<KernelType>(r.kernel)),
                   std::move(cells.conv), TablePrinter::Fmt(r.chosen_cost, 0),
                   TablePrinter::Fmt(r.stored_cost, 0)});
   }
@@ -119,7 +120,7 @@ std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
 }
 
 std::string FormatChainDecisions(
-    const std::vector<obs::ChainDecisionRecord>& records, index_t max_rows) {
+    const std::vector<obs::ChainAuditRecord>& records, index_t max_rows) {
   std::ostringstream os;
   os << "ChainDecisions: " << records.size() << " chains\n";
   if (records.empty()) return os.str();
@@ -130,29 +131,22 @@ std::string FormatChainDecisions(
   const index_t shown = std::min<index_t>(max_rows, total);
   // Newest records are the interesting ones; the snapshot is oldest-first.
   for (index_t i = total - shown; i < total; ++i) {
-    const obs::ChainDecisionRecord& r = records[i];
-    table.AddRow({std::to_string(r.op_id), r.plan, std::to_string(r.length),
+    const obs::ChainAuditRecord& r = records[i];
+    // One effective write threshold per product; n matrices, n-1 products.
+    table.AddRow({std::to_string(r.op), r.plan,
+                  std::to_string(r.rho_w.size() + 1),
                   TablePrinter::Fmt(r.planned_cost, 0),
-                  TablePrinter::Fmt(r.left_to_right_cost, 0),
+                  TablePrinter::Fmt(r.alternative_cost, 0),
                   r.fused ? "yes" : "no(" + r.fallback_reason + ")",
                   std::to_string(r.fused_tasks),
                   TablePrinter::FmtBytes(r.resident_peak_bytes),
                   r.budget_bytes == 0 ? "-"
                                       : TablePrinter::FmtBytes(r.budget_bytes),
-                  TablePrinter::Fmt(r.total_seconds, 4) + "s"});
+                  TablePrinter::Fmt(r.measured_seconds, 4) + "s"});
   }
   os << table.ToString();
   if (shown < total) {
     os << "  ... " << (total - shown) << " older chains\n";
-  }
-
-  const obs::ChainDecisionRecord& last = records.back();
-  if (!last.product_summaries.empty()) {
-    os << "  products of chain op " << last.op_id << " (" << last.plan
-       << "):\n";
-    for (std::size_t i = 0; i < last.product_summaries.size(); ++i) {
-      os << "    P" << i << ": " << last.product_summaries[i] << "\n";
-    }
   }
   return os.str();
 }

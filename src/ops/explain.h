@@ -15,6 +15,9 @@
 #include "cost/cost_model.h"
 #include "kernels/kernel_common.h"
 #include "obs/obs.h"
+#if defined(ATMX_OBS_ENABLED)
+#include "obs/audit_ledger.h"
+#endif
 #include "tile/at_matrix.h"
 
 namespace atmx {
@@ -58,19 +61,18 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
                              const CostModel& cost_model = CostModel());
 
 #if defined(ATMX_OBS_ENABLED)
-// Renders decision-audit records (the "EXPLAIN after the fact" counterpart
-// of MultiplyPlan::ToString) as a column-aligned table, `max_rows` rows of
-// pair detail plus a summary line. Only available when the observability
-// layer is built in.
-std::string FormatDecisionLog(const std::vector<obs::DecisionRecord>& records,
-                              index_t max_rows = 24);
+// Renders the audit ledger's per-pair decision records (the "EXPLAIN
+// after the fact" counterpart of MultiplyPlan::ToString) as a
+// column-aligned table, `max_rows` rows of pair detail plus a summary
+// line. Only available when the observability layer is built in.
+std::string FormatDecisions(const std::vector<obs::ReprAuditRecord>& records,
+                            index_t max_rows = 24);
 
-// Renders chain-decision records (one per ExecuteChain call: chosen
-// parenthesization, planned vs left-to-right cost, fusion outcome,
-// resident-tile peak) as a table followed by the per-product breakdown of
-// the most recent chain. See docs/CHAINS.md.
+// Renders the audit ledger's chain records (one per ExecuteChain call:
+// chosen parenthesization, planned vs left-to-right cost, fusion outcome,
+// resident-tile peak) as a table, newest `max_rows`. See docs/CHAINS.md.
 std::string FormatChainDecisions(
-    const std::vector<obs::ChainDecisionRecord>& records,
+    const std::vector<obs::ChainAuditRecord>& records,
     index_t max_rows = 16);
 #endif
 

@@ -386,11 +386,15 @@ AuditLedgerDoc OneOfEachDoc() {
   doc.repr.push_back(r);
   ChainAuditRecord ch;
   ch.op = 8;
+  ch.plan = "((A0*A1)*\"A2\")";  // quotes exercise the escaping
   ch.planned_cost = 500.0;
   ch.alternative_cost = 750.0;
-  ch.fused = true;
+  ch.fused = false;
+  ch.fallback_reason = "budget_infeasible";
+  ch.fused_tasks = 46;
   ch.measured_seconds = 0.0125;
   ch.budget_bytes = 1 << 21;
+  ch.projected_peak_bytes = (1 << 21) + 512;
   ch.resident_peak_bytes = (1 << 21) - 4096;
   ch.rho_w = {0.03, 0.5, 1.0 / 3.0};
   doc.chain.push_back(ch);
@@ -432,9 +436,14 @@ TEST(AuditLedgerJson, RoundTripPreservesEveryField) {
   EXPECT_EQ(doc.repr[0].b_cached, back.repr[0].b_cached);
   EXPECT_EQ(doc.repr[0].rho_c_actual, back.repr[0].rho_c_actual);
   ASSERT_EQ(1u, back.chain.size());
+  EXPECT_EQ(doc.chain[0].plan, back.chain[0].plan);
   EXPECT_EQ(doc.chain[0].fused, back.chain[0].fused);
+  EXPECT_EQ(doc.chain[0].fallback_reason, back.chain[0].fallback_reason);
+  EXPECT_EQ(doc.chain[0].fused_tasks, back.chain[0].fused_tasks);
   EXPECT_EQ(doc.chain[0].measured_seconds, back.chain[0].measured_seconds);
   EXPECT_EQ(doc.chain[0].budget_bytes, back.chain[0].budget_bytes);
+  EXPECT_EQ(doc.chain[0].projected_peak_bytes,
+            back.chain[0].projected_peak_bytes);
   EXPECT_EQ(doc.chain[0].resident_peak_bytes,
             back.chain[0].resident_peak_bytes);
   EXPECT_EQ(doc.chain[0].rho_w, back.chain[0].rho_w);
@@ -452,6 +461,26 @@ TEST(AuditLedgerJson, ReplayIsDeterministic) {
   EXPECT_EQ(text1, text2);
   // Render → parse → render is a fixed point.
   EXPECT_EQ(json, RenderAuditLedgerJson(a.value()));
+}
+
+// A chain record written before the plan / fallback / fused-task /
+// projected-peak fields existed still loads, with those fields defaulted.
+TEST(AuditLedgerJson, ChainRecordWithoutNewerFieldsLoadsWithDefaults) {
+  auto parsed = ParseAuditLedgerJson(
+      "{\"schema_version\":1,\"kind\":\"atmx_audit_ledger\",\"chain\":"
+      "[{\"op\":3,\"planned_cost\":10,\"alternative_cost\":12,"
+      "\"fused\":true,\"seconds\":0.5,\"budget_bytes\":0,"
+      "\"resident_peak_bytes\":64,\"rho_w\":[0.5]}]}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(1u, parsed.value().chain.size());
+  const ChainAuditRecord& ch = parsed.value().chain[0];
+  EXPECT_EQ(3u, ch.op);
+  EXPECT_TRUE(ch.fused);
+  EXPECT_EQ(64u, ch.resident_peak_bytes);
+  EXPECT_EQ("", ch.plan);
+  EXPECT_EQ("", ch.fallback_reason);
+  EXPECT_EQ(0, ch.fused_tasks);
+  EXPECT_EQ(0u, ch.projected_peak_bytes);
 }
 
 TEST(AuditLedgerJson, ParseRejectsWrongKind) {

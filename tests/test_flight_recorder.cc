@@ -12,15 +12,14 @@
 #include <sstream>
 #include <string>
 
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
 
 namespace atmx {
 namespace {
 
-using obs::DecisionLog;
-using obs::DecisionRecord;
+using obs::AuditLedger;
 using obs::FlightRecorder;
 
 std::string ReadFile(const std::string& path) {
@@ -62,11 +61,10 @@ TEST(FlightRecorderTest, DumpNowWritesParseableSchemaCompleteJson) {
   obs::MetricsRegistry::Global()
       .GetCounter("flight_test.events")
       .Add(7);
-  DecisionLog::Global().SetEnabled(true);
-  DecisionRecord record;
-  record.op_id = DecisionLog::Global().NextOpId();
-  DecisionLog::Global().Record(record);
-  DecisionLog::Global().SetEnabled(false);
+  AuditLedger::Global().Clear();
+  obs::ReprAuditRecord record;
+  record.op = AuditLedger::Global().NextOpId();
+  AuditLedger::Global().RecordRepr(record);
 
   const std::string path = recorder.DumpPath();
   EXPECT_NE(path.find("atmx_flight_"), std::string::npos);
@@ -84,11 +82,13 @@ TEST(FlightRecorderTest, DumpNowWritesParseableSchemaCompleteJson) {
             std::string::npos);
   EXPECT_NE(dump.find("\"mem_high_water_bytes\":"), std::string::npos);
   EXPECT_NE(dump.find("\"flight_test.events\""), std::string::npos);
-  EXPECT_NE(dump.find("\"decisions\":["), std::string::npos);
+  EXPECT_NE(dump.find("\"decisions\":[{\"op\":" +
+                      std::to_string(record.op)),
+            std::string::npos);
   EXPECT_NE(dump.find("\"traceEvents\""), std::string::npos);
 
   recorder.Uninstall();
-  DecisionLog::Global().Clear();
+  AuditLedger::Global().Clear();
 }
 
 TEST(FlightRecorderTest, RefreshIsANoOpBeforeInstall) {

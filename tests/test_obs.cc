@@ -1,7 +1,7 @@
 // Observability layer: metrics-registry semantics, histogram bucketing,
-// trace recording + JSON well-formedness, the decision-audit ring, and the
-// invariant that "kernel" trace spans match the per-variant invocation
-// counters of a real ATMULT execution.
+// trace recording + JSON well-formedness, and the invariants that "kernel"
+// trace spans match the per-variant invocation counters of a real ATMULT
+// execution and that the audit ledger records every decided pair.
 
 #include "obs/obs.h"
 
@@ -15,6 +15,7 @@
 
 #include "gen/synthetic.h"
 #include "kernels/kernel_dispatch.h"
+#include "obs/audit_ledger.h"
 #include "obs/json_util.h"
 #include "ops/atmult.h"
 #include "ops/explain.h"
@@ -25,8 +26,7 @@ namespace atmx {
 namespace {
 
 using atmx::testing::RandomCoo;
-using obs::DecisionLog;
-using obs::DecisionRecord;
+using obs::AuditLedger;
 using obs::MetricsRegistry;
 using obs::TraceRecorder;
 
@@ -225,55 +225,6 @@ TEST(JsonUtilTest, AcceptsValidRejectsInvalid) {
   EXPECT_EQ(obs::EscapeJson("a\"b\\c\n"), "a\\\"b\\\\c\\n");
 }
 
-// --- Decision log. --------------------------------------------------------
-
-TEST(DecisionLogTest, DisabledByDefaultAndRecords) {
-  DecisionLog& log = DecisionLog::Global();
-  log.Clear();
-  log.SetEnabled(false);
-  DecisionRecord rec;
-  log.Record(rec);
-  EXPECT_TRUE(log.Snapshot().empty());
-
-  log.SetEnabled(true);
-  rec.op_id = log.NextOpId();
-  rec.ti = 1;
-  rec.tj = 2;
-  rec.kernel = KernelType::kSSD;
-  rec.a_converted = true;
-  log.Record(rec);
-  log.SetEnabled(false);
-  const std::vector<DecisionRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].ti, 1);
-  EXPECT_EQ(records[0].tj, 2);
-  EXPECT_EQ(records[0].kernel, KernelType::kSSD);
-  EXPECT_TRUE(records[0].a_converted);
-
-  std::string error;
-  EXPECT_TRUE(obs::JsonWellFormed(log.ToJson(), &error)) << error;
-  EXPECT_FALSE(FormatDecisionLog(records).empty());
-  log.Clear();
-}
-
-TEST(DecisionLogTest, RingWrapKeepsNewestOldestFirst) {
-  DecisionLog& log = DecisionLog::Global();
-  log.SetCapacity(4);
-  log.SetEnabled(true);
-  for (int i = 0; i < 10; ++i) {
-    DecisionRecord rec;
-    rec.ti = i;
-    log.Record(rec);
-  }
-  log.SetEnabled(false);
-  const std::vector<DecisionRecord> records = log.Snapshot();
-  ASSERT_EQ(records.size(), 4u);
-  EXPECT_EQ(records[0].ti, 6);
-  EXPECT_EQ(records[3].ti, 9);
-  EXPECT_EQ(log.TotalRecorded(), 10u);
-  log.SetCapacity(DecisionLog::kDefaultCapacity);  // also clears
-}
-
 // --- End-to-end: trace + audit of a real ATMULT. --------------------------
 
 TEST(ObsIntegrationTest, SpanCountMatchesKernelCounters) {
@@ -293,15 +244,16 @@ TEST(ObsIntegrationTest, SpanCountMatchesKernelCounters) {
   TraceRecorder& rec = TraceRecorder::Global();
   rec.Clear();
   rec.Enable();
-  DecisionLog::Global().Clear();
-  DecisionLog::Global().SetEnabled(true);
+  AuditLedger& ledger = AuditLedger::Global();
+  ledger.Clear();
+  ledger.SetEnabled(true);
 
   AtMult op(config);
   AtMultStats stats;
   ATMatrix c = op.Multiply(a, b, &stats);
 
   rec.Disable();
-  DecisionLog::Global().SetEnabled(false);
+  ledger.SetEnabled(false);
   ASSERT_GT(stats.pair_multiplications, 0);
   EXPECT_GT(c.nnz(), 0);
 
@@ -340,19 +292,84 @@ TEST(ObsIntegrationTest, SpanCountMatchesKernelCounters) {
     EXPECT_TRUE(known) << name;
   }
 
-  // The audit saw every decided pair of this operation.
-  index_t audited = 0;
-  for (const DecisionRecord& r : DecisionLog::Global().Snapshot()) {
-    audited += 1;
-    EXPECT_GE(r.rho_a, 0.0);
-    EXPECT_GE(r.rho_b, 0.0);
+  // The audit ledger saw every decided pair of this operation.
+  const std::vector<obs::ReprAuditRecord> repr = ledger.Snapshot().repr;
+  EXPECT_EQ(static_cast<index_t>(repr.size()), stats.pair_multiplications);
+  index_t converted = 0;
+  for (const obs::ReprAuditRecord& r : repr) {
+    EXPECT_GT(r.rho_a, 0.0);
+    EXPECT_GT(r.rho_b, 0.0);
+    EXPECT_GE(r.rho_c_pred, 0.0);
+    EXPECT_TRUE(r.allow_conversion);
+    converted += (r.a_converted() ? 1 : 0) + (r.b_converted() ? 1 : 0);
   }
-  EXPECT_EQ(audited, stats.pair_multiplications);
+  // Each JIT conversion the operation made served at least one pair whose
+  // record shows a converted operand.
+  EXPECT_GE(converted, stats.sparse_to_dense_conversions +
+                           stats.dense_to_sparse_conversions);
+  EXPECT_FALSE(FormatDecisions(repr).empty());
 
   std::string error;
   EXPECT_TRUE(obs::JsonWellFormed(rec.ToJson(), &error)) << error;
+  EXPECT_TRUE(obs::JsonWellFormed(ledger.ToJson(), &error)) << error;
   rec.Clear();
-  DecisionLog::Global().Clear();
+  ledger.Clear();
+}
+
+// Pairs decided without an estimate (density estimation off) or without
+// JIT conversion are recorded too; estimate-less records carry
+// rho_c_pred < 0 and the replay skips them instead of inventing regret.
+TEST(ObsIntegrationTest, EveryPairIsRecordedWithoutEstimateOrConversion) {
+  CooMatrix a_coo = GenerateDiagonalDenseBlocks(128, 4, 24, 0.9, 500, 21);
+  CooMatrix b_coo = RandomCoo(128, 128, 1200, 22);
+  AuditLedger& ledger = AuditLedger::Global();
+  for (const bool estimation : {false, true}) {
+    AtmConfig config = TestConfig();
+    config.density_estimation = estimation;
+    config.dynamic_conversion = false;
+    ATMatrix a = PartitionToAtm(a_coo, config);
+    ATMatrix b = PartitionToAtm(b_coo, config);
+    ledger.Clear();
+    ledger.SetEnabled(true);
+    AtMult op(config);
+    AtMultStats stats;
+    ATMatrix c = op.Multiply(a, b, &stats);
+    ledger.SetEnabled(false);
+    ASSERT_GT(stats.pair_multiplications, 0);
+    EXPECT_GT(c.nnz(), 0);
+
+    const obs::AuditLedgerDoc doc = ledger.Snapshot();
+    EXPECT_EQ(static_cast<index_t>(doc.repr.size()),
+              stats.pair_multiplications)
+        << "estimation=" << estimation;
+    for (const obs::ReprAuditRecord& r : doc.repr) {
+      EXPECT_FALSE(r.allow_conversion);
+      EXPECT_FALSE(r.a_converted());
+      EXPECT_FALSE(r.b_converted());
+      EXPECT_GE(r.rho_c_actual, 0.0);
+      if (estimation) {
+        EXPECT_GE(r.rho_c_pred, 0.0);
+      } else {
+        EXPECT_LT(r.rho_c_pred, 0.0);
+        EXPECT_FALSE(r.c_dense);
+      }
+    }
+    const obs::AuditReport report = obs::BuildAuditReport(doc, 10);
+    if (estimation) {
+      EXPECT_EQ(report.repr_considered, doc.repr.size());
+    } else {
+      EXPECT_EQ(report.repr_considered, 0u);
+      EXPECT_EQ(report.repr_regret, 0u);
+      EXPECT_EQ(report.repr_regret_cost, 0.0);
+      // Injecting a misestimate leaves estimate-less records alone.
+      obs::AuditLedgerDoc injected = doc;
+      obs::InjectDensityMisestimate(&injected, 2.0);
+      for (const obs::ReprAuditRecord& r : injected.repr) {
+        EXPECT_LT(r.rho_c_pred, 0.0);
+      }
+    }
+  }
+  ledger.Clear();
 }
 
 // --- Memory tracker. ------------------------------------------------------

@@ -3,7 +3,8 @@
 // first-use registration and snapshotting, the TraceRecorder's
 // registry-then-shard two-lock nesting (append vs Snapshot/Clear — the
 // exact interleaving the LOCK ORDER comment in obs/trace.h governs), and
-// the DecisionLog ring buffer. Assertions are simple totals; the point is
+// the AuditLedger's append-or-drop record path against its snapshot,
+// render and tail readers. Assertions are simple totals; the point is
 // that ThreadSanitizer sees every edge of each protocol under schedules a
 // single-threaded unit test never produces.
 
@@ -11,19 +12,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "obs/decision_log.h"
+#include "obs/audit_ledger.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace atmx {
 namespace {
 
-using obs::DecisionLog;
-using obs::DecisionRecord;
+using obs::AuditLedger;
 using obs::MetricsRegistry;
 using obs::TraceRecorder;
 
@@ -169,43 +170,83 @@ TEST(ObsRaceStressTest, HistogramObserveVsTakeSnapshotStaysCoherent) {
   EXPECT_EQ(bucket_total, expected);
 }
 
-TEST(ObsRaceStressTest, DecisionLogRecordVsSnapshot) {
-  DecisionLog& log = DecisionLog::Global();
-  log.SetCapacity(256);  // small ring: force wrap-around under contention
-  log.SetEnabled(true);
-  const std::uint64_t base_total = log.TotalRecorded();
+TEST(ObsRaceStressTest, AuditLedgerRecordVsSnapshot) {
+  AuditLedger& ledger = AuditLedger::Global();
+  ledger.Clear();
+  ledger.SetEnabled(true);
 
+  // Enough repr records across the writers to pass the per-class cap, so
+  // the append-or-drop branch races too; chain records stay under it.
   constexpr int kWriters = 4;
-  constexpr int kRounds = 500;
+  constexpr std::size_t kReprPerWriter =
+      AuditLedger::kMaxRecordsPerClass / kWriters + 2000;
+  constexpr int kChainPerWriter = 50;
+  constexpr std::size_t kTail = 64;
   std::atomic<bool> stop{false};
+  std::atomic<std::size_t> reads{0};
   std::thread reader([&] {
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)log.Snapshot();
-      (void)log.ToJson();
+      const std::vector<obs::ReprAuditRecord> tail = ledger.ReprTail(kTail);
+      EXPECT_LE(tail.size(), kTail);
+      (void)ledger.Snapshot();
+      // Rendering the whole ledger is the slowest reader; every eighth
+      // pass keeps the test short as the ledger fills.
+      if (reads.fetch_add(1, std::memory_order_relaxed) % 8 == 0) {
+        (void)ledger.ToJson();
+      }
     }
   });
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      for (int round = 0; round < kRounds; ++round) {
-        DecisionRecord record;
-        record.op_id = log.NextOpId();
-        record.ti = w;
-        record.tj = round;
-        log.Record(record);
+      for (std::size_t i = 0; i < kReprPerWriter; ++i) {
+        obs::ReprAuditRecord r;
+        r.op = ledger.NextOpId();
+        r.ti = w;
+        r.tj = static_cast<index_t>(i);
+        r.rho_c_pred = 0.25;
+        r.rho_c_actual = 0.5;
+        ledger.RecordRepr(r);
+        if (i < static_cast<std::size_t>(kChainPerWriter)) {
+          obs::ChainAuditRecord c;
+          c.op = ledger.NextOpId();
+          c.plan = "(A0*A1)";
+          c.rho_w = {0.5};
+          ledger.RecordChain(c);
+        }
       }
     });
   }
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  log.SetEnabled(false);
+  ledger.SetEnabled(false);
+  EXPECT_GT(reads.load(), 0u);
 
-  EXPECT_EQ(log.TotalRecorded() - base_total,
-            static_cast<std::uint64_t>(kWriters) * kRounds);
-  EXPECT_EQ(log.Snapshot().size(), 256u);  // ring stayed capped
-  log.Clear();
+  // Quiescent totals: the first kMaxRecordsPerClass repr records are
+  // kept, every later one is counted as dropped, none is lost.
+  const obs::AuditLedgerDoc doc = ledger.Snapshot();
+  const std::size_t repr_total = kWriters * kReprPerWriter;
+  ASSERT_GT(repr_total, AuditLedger::kMaxRecordsPerClass);
+  EXPECT_EQ(doc.repr.size(), AuditLedger::kMaxRecordsPerClass);
+  EXPECT_EQ(doc.chain.size(),
+            static_cast<std::size_t>(kWriters * kChainPerWriter));
+  EXPECT_EQ(doc.repr.size() + doc.chain.size() + doc.dropped,
+            repr_total + static_cast<std::size_t>(kWriters * kChainPerWriter));
+  EXPECT_EQ(doc.dropped, repr_total - AuditLedger::kMaxRecordsPerClass);
+  // Every op id was handed out once.
+  std::set<std::uint64_t> ops;
+  for (const obs::ReprAuditRecord& r : doc.repr) ops.insert(r.op);
+  for (const obs::ChainAuditRecord& c : doc.chain) ops.insert(c.op);
+  EXPECT_EQ(ops.size(), doc.repr.size() + doc.chain.size());
+  // The tail is the last retained records, oldest first.
+  const std::vector<obs::ReprAuditRecord> tail = ledger.ReprTail(kTail);
+  ASSERT_EQ(tail.size(), kTail);
+  EXPECT_EQ(tail.back().op, doc.repr.back().op);
+  EXPECT_EQ(tail.front().op, doc.repr[doc.repr.size() - kTail].op);
+  EXPECT_EQ(ledger.ReprTail(doc.repr.size() + 10).size(), doc.repr.size());
+  ledger.Clear();
 }
 
 }  // namespace

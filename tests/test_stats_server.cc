@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "obs/audit_ledger.h"
 #include "obs/exposition.h"
 #include "obs/json_util.h"
 #include "obs/metrics.h"
@@ -68,6 +69,13 @@ TEST(HandleRequestTest, HealthAndRootAnswerOk) {
 
 TEST(HandleRequestTest, TraceAndDecisionsAreWellFormedJson) {
   MetricsRegistry registry;
+  // One decision record for /decisions to serve.
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  ledger.Clear();
+  obs::ReprAuditRecord record;
+  record.op = ledger.NextOpId();
+  record.ti = 3;
+  ledger.RecordRepr(record);
   for (const char* path : {"/trace", "/decisions"}) {
     const std::string response = StatsServer::HandleRequest(
         std::string("GET ") + path + " HTTP/1.0\r\n\r\n", registry);
@@ -75,7 +83,25 @@ TEST(HandleRequestTest, TraceAndDecisionsAreWellFormedJson) {
     std::string error;
     EXPECT_TRUE(obs::JsonWellFormed(Body(response), &error))
         << path << ": " << error;
+    auto parsed = obs::ParseJson(Body(response));
+    ASSERT_TRUE(parsed.ok()) << path;
+    const obs::JsonValue& root = parsed.value();
+    if (std::string(path) == "/trace") {
+      ASSERT_TRUE(root.is_object());
+      ASSERT_NE(root.Find("traceEvents"), nullptr);
+      EXPECT_TRUE(root.Find("traceEvents")->is_array());
+    } else {
+      // The bare array of the ledger's last repr records, as documented
+      // in stats_server.h and docs/OBSERVABILITY.md.
+      ASSERT_TRUE(root.is_array());
+      ASSERT_EQ(root.array.size(), 1u);
+      EXPECT_TRUE(root.array[0].is_object());
+      EXPECT_EQ(root.array[0].NumberOr("op", 0.0),
+                static_cast<double>(record.op));
+      EXPECT_EQ(root.array[0].NumberOr("ti", 0.0), 3.0);
+    }
   }
+  ledger.Clear();
 }
 
 TEST(HandleRequestTest, QueryStringIsIgnored) {

@@ -7,13 +7,16 @@
 //   atmx render <in> <out.pgm>           tile layout / density map image
 //   atmx convert <in> <out>              between .mtx and binary formats
 //   atmx gen <workload-id> <scale> <out> generate a Table I workload
-//   atmx trace <a> <b> <out.trace.json>  multiply with tracing + decision
-//                                        audit, write a Chrome trace
+//   atmx trace <a> <b> <out.trace.json>  multiply with tracing + the audit
+//                                        ledger on, print the pair
+//                                        decisions, write a Chrome trace
 //   atmx decisions <a> <b> [<c> ...]     multiply a chain through the
-//                                        planner with the decision audit
-//                                        on; print the chosen plan, the
-//                                        fusion outcome, and every pair
-//                                        representation decision
+//     [--json]                           planner with the audit ledger on;
+//                                        print the chosen plan, the
+//                                        fusion outcome, per-product
+//                                        stats and every pair
+//                                        representation decision (--json:
+//                                        the ledger document)
 //   atmx metrics <a> <b> [--json]        multiply, dump the metrics
 //                                        registry (table or JSON)
 //   atmx profile <a> <b>                 multiply with hardware counters,
@@ -290,17 +293,16 @@ int CmdTrace(const std::string& a_path, const std::string& b_path,
   AtmConfig config = ConfigFromEnv();
   auto operands = LoadPair(a_path, b_path, config);
   if (!operands) return 1;
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
   obs::TraceRecorder::Global().Enable();
-  obs::DecisionLog::Global().SetEnabled(true);
+  ledger.SetEnabled(true);
   AtMult op(config);
   AtMultStats stats;
   ATMatrix c = op.Multiply(operands->first, operands->second, &stats);
   obs::TraceRecorder::Global().Disable();
-  obs::DecisionLog::Global().SetEnabled(false);
+  ledger.SetEnabled(false);
   std::printf("%s\n", stats.ToString().c_str());
-  std::printf("%s",
-              FormatDecisionLog(obs::DecisionLog::Global().Snapshot())
-                  .c_str());
+  std::printf("%s", FormatDecisions(ledger.Snapshot().repr).c_str());
   Status saved = obs::TraceRecorder::Global().WriteJson(out);
   if (!saved.ok()) {
     std::fprintf(stderr, "error: %s\n", saved.ToString().c_str());
@@ -323,10 +325,11 @@ int CmdTrace(const std::string& a_path, const std::string& b_path,
 #endif
 }
 
-// Multiplies a chain of matrices through the chain planner with the
-// decision audit enabled, then renders what the optimizer chose: the
-// chain-level records (parenthesization, planned vs left-to-right cost,
-// fusion outcome) and the per-pair representation decisions.
+// Multiplies a chain of matrices through the chain planner with the audit
+// ledger enabled, then renders what the optimizer chose: the chain-level
+// record (parenthesization, planned vs left-to-right cost, fusion
+// outcome), the per-product stats and the per-pair representation
+// decisions. --json prints the ledger document instead.
 int CmdDecisions(const std::vector<std::string>& paths, bool as_json) {
 #if defined(ATMX_OBS_ENABLED)
   AtmConfig config = ConfigFromEnv();
@@ -360,23 +363,31 @@ int CmdDecisions(const std::vector<std::string>& paths, bool as_json) {
   cost_options.fused = config.fused_chains;
   ChainPlan plan =
       PlanChain(maps, op.cost_model(), config.rho_write, cost_options);
-  obs::DecisionLog::Global().SetEnabled(true);
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  ledger.SetEnabled(true);
   ChainExecStats stats;
   ATMatrix c = ExecuteChain(chain, plan, op, &stats);
-  obs::DecisionLog::Global().SetEnabled(false);
+  ledger.SetEnabled(false);
   if (as_json) {
-    std::printf("{\"chains\":%s,\n\"pairs\":%s}\n",
-                obs::DecisionLog::Global().ChainsToJson().c_str(),
-                obs::DecisionLog::Global().ToJson().c_str());
+    std::printf("%s\n", ledger.ToJson().c_str());
   } else {
+    const obs::AuditLedgerDoc doc = ledger.Snapshot();
     std::printf("%s\n", stats.total.ToString().c_str());
-    std::printf(
-        "%s",
-        FormatChainDecisions(obs::DecisionLog::Global().ChainSnapshot())
-            .c_str());
-    std::printf("%s",
-                FormatDecisionLog(obs::DecisionLog::Global().Snapshot())
-                    .c_str());
+    std::printf("%s", FormatChainDecisions(doc.chain).c_str());
+    // Products in execution order (post-order of the plan tree).
+    for (std::size_t i = 0; i < stats.per_product.size(); ++i) {
+      const AtMultStats& p = stats.per_product[i];
+      std::printf(
+          "  P%zu: pairs=%lld kernels=%lld conv=%lld c_tiles(d/sp)=%lld/%lld "
+          "rho_w=%g multiply=%gs\n",
+          i, (long long)p.pair_multiplications,
+          (long long)p.TotalKernelInvocations(),
+          (long long)(p.sparse_to_dense_conversions +
+                      p.dense_to_sparse_conversions),
+          (long long)p.dense_result_tiles, (long long)p.sparse_result_tiles,
+          p.effective_write_threshold, p.multiply_seconds);
+    }
+    std::printf("%s", FormatDecisions(doc.repr).c_str());
   }
   (void)c;
   return 0;
