@@ -83,9 +83,7 @@ struct AtmConfig {
   bool fused_chains = true;
 
   // --- Parallelism (section III-F) ---------------------------------------
-  // 0 means "one team per socket" / "cores_per_socket threads per team".
-  int num_worker_teams = 0;
-  int threads_per_team = 0;
+  // One worker team per socket (num_sockets) of cores_per_socket threads.
   // Locality-aware work stealing in the team scheduler: home queues are
   // drained longest-task-first (ordered by the cost model) and an idle
   // team steals whole tile tasks from the tail of the NUMA-nearest
@@ -100,12 +98,8 @@ struct AtmConfig {
   // two so tiles stay aligned to the quadtree grid.
   index_t MaxDenseTileSize() const;
 
-  int EffectiveTeams() const {
-    return num_worker_teams > 0 ? num_worker_teams : num_sockets;
-  }
-  int EffectiveThreadsPerTeam() const {
-    return threads_per_team > 0 ? threads_per_team : cores_per_socket;
-  }
+  int EffectiveTeams() const { return num_sockets; }
+  int EffectiveThreadsPerTeam() const { return cores_per_socket; }
 
   std::string ToString() const;
 };

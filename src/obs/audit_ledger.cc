@@ -323,6 +323,11 @@ void RenderChain(std::ostringstream& os, const ChainAuditRecord& r) {
     if (i > 0) os << ',';
     os << FmtD(r.rho_w[i]);
   }
+  os << "],\"product_ops\":[";
+  for (std::size_t i = 0; i < r.product_ops.size(); ++i) {
+    if (i > 0) os << ',';
+    os << FmtU64(r.product_ops[i]);
+  }
   os << "]}";
 }
 
@@ -547,6 +552,13 @@ Result<AuditLedgerDoc> ParseAuditLedgerJson(std::string_view text) {
           rw != nullptr && rw->is_array()) {
         for (const JsonValue& t : rw->array) {
           r.rho_w.push_back(t.is_number() ? t.number_value : 0.0);
+        }
+      }
+      if (const JsonValue* ops = v.Find("product_ops");
+          ops != nullptr && ops->is_array()) {
+        for (const JsonValue& t : ops->array) {
+          r.product_ops.push_back(
+              t.is_number() ? static_cast<std::uint64_t>(t.number_value) : 0);
         }
       }
       doc.chain.push_back(r);

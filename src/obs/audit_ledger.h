@@ -145,6 +145,10 @@ struct ChainAuditRecord {
   // Effective write threshold per product (post-order; joins against the
   // waterlevel class per product via `atmx audit`).
   std::vector<double> rho_w;
+  // Op id of each product (post-order): the `op` of its repr, cost,
+  // density and waterlevel records. Empty in ledgers written before the
+  // field existed.
+  std::vector<std::uint64_t> product_ops;
 };
 
 // Everything one ledger holds: the in-memory snapshot and the parsed

@@ -172,31 +172,6 @@ double EstimateLeftToRightCost(const std::vector<const DensityMap*>& maps,
 
 namespace {
 
-// Appends the products of the subchain (i..j) to `nodes` in post-order
-// (left subtree, right subtree, self) with their chain-planned thresholds;
-// returns the subchain root's node id, or -1 for a single matrix.
-int AppendChainProducts(const std::vector<const ATMatrix*>& chain,
-                        const ChainPlan& plan,
-                        const internal::ChainBudgetPlan& budget, int i, int j,
-                        std::vector<internal::ProductNode>* nodes) {
-  if (i == j) return -1;
-  const int k = plan.split[static_cast<std::size_t>(i)]
-                          [static_cast<std::size_t>(j)];
-  const int left = AppendChainProducts(chain, plan, budget, i, k, nodes);
-  const int right = AppendChainProducts(chain, plan, budget, k + 1, j, nodes);
-  const std::size_t id = nodes->size();
-  internal::ProductNode node;
-  node.left = left < 0 ? chain[static_cast<std::size_t>(i)] : nullptr;
-  node.left_node = left;
-  node.right = right < 0 ? chain[static_cast<std::size_t>(k) + 1] : nullptr;
-  node.right_node = right;
-  node.rho_w = budget.rho_w[id];
-  node.feasible = budget.feasible;
-  node.planned = &budget.planned_maps[id];
-  nodes->push_back(node);
-  return static_cast<int>(id);
-}
-
 #if defined(ATMX_OBS_ENABLED)
 void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
                          const ChainPlan& plan, const AtMult& op,
@@ -226,6 +201,7 @@ void RecordChainDecision(const std::vector<const ATMatrix*>& chain,
   rec.budget_bytes = stats.budget_bytes;
   rec.projected_peak_bytes = stats.projected_peak_bytes;
   rec.resident_peak_bytes = stats.resident_peak_bytes;
+  rec.product_ops = stats.product_ops;
   rec.rho_w.reserve(stats.per_product.size());
   for (const AtMultStats& p : stats.per_product) {
     rec.rho_w.push_back(p.effective_write_threshold);
@@ -276,11 +252,8 @@ ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
       stats->fallback_reason = "budget_infeasible";
     }
     const bool fuse = stats->fallback_reason.empty();
-    std::vector<internal::ProductNode> nodes;
-    AppendChainProducts(chain, plan, budget, 0,
-                        static_cast<int>(chain.size()) - 1, &nodes);
     result = internal::ExecuteProducts(
-        nodes, op,
+        budget.products, op,
         fuse ? internal::ExecMode::kFused : internal::ExecMode::kPerNode,
         fuse && budget.active ? budget.budget_bytes : 0, stats);
   }
@@ -290,18 +263,6 @@ ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
 #else
   (void)total_seconds;
 #endif
-  return result;
-}
-
-ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
-                      const ChainPlan& plan, const AtMult& op,
-                      AtMultStats* stats_accum) {
-  ChainExecStats stats;
-  ATMatrix result = ExecuteChain(chain, plan, op, &stats);
-  if (stats_accum != nullptr) {
-    // Historical contract: *accumulates* into the caller's struct.
-    internal::AccumulateProductStats(stats.total, stats_accum);
-  }
   return result;
 }
 

@@ -85,6 +85,9 @@ double EstimateLeftToRightCost(const std::vector<const DensityMap*>& maps,
 struct ChainExecStats {
   AtMultStats total;
   std::vector<AtMultStats> per_product;
+  // Audit-ledger op id of each product, in per_product order (empty when
+  // the ledger is off): joins the chain record to its products' records.
+  std::vector<std::uint64_t> product_ops;
 
   bool fused = false;
   // Why fused execution was declined ("" when fused): "disabled",
@@ -125,12 +128,7 @@ struct ChainExecStats {
 // full breakdown.
 ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
                       const ChainPlan& plan, const AtMult& op,
-                      ChainExecStats* stats);
-
-// Back-compat convenience: accumulates only the summed operator stats.
-ATMatrix ExecuteChain(const std::vector<const ATMatrix*>& chain,
-                      const ChainPlan& plan, const AtMult& op,
-                      AtMultStats* stats_accum = nullptr);
+                      ChainExecStats* stats = nullptr);
 
 }  // namespace atmx
 

@@ -71,31 +71,42 @@ void AccumulateProductStats(const AtMultStats& s, AtMultStats* total) {
 
 namespace {
 
-// Post-order walk of the plan tree for the subchain (i..j): estimates
-// every product's topology bottom-up (leaves use the inputs' actual maps)
-// and records each product's consuming parent. Returns the subchain
-// root's product id; ids follow ChainExecStats::per_product's post-order.
+// Post-order walk of the plan tree for the subchain (i..j): appends each
+// product's node (operands: an input matrix or an earlier node) and its
+// topology, estimated bottom-up from the inputs' actual maps, and records
+// each product's consuming parent. Returns the subchain root's product id,
+// or -1 for a single matrix; ids follow ChainExecStats::per_product's
+// post-order.
 int WalkPlannedProducts(const std::vector<const ATMatrix*>& chain,
                         const ChainPlan& plan, int i, int j,
-                        std::vector<DensityMap>* maps,
-                        std::vector<int>* parents) {
+                        ChainBudgetPlan* budget, std::vector<int>* parents) {
+  if (i == j) return -1;
   const int k = plan.split[static_cast<std::size_t>(i)]
                           [static_cast<std::size_t>(j)];
-  const int left =
-      i < k ? WalkPlannedProducts(chain, plan, i, k, maps, parents) : -1;
-  const int right =
-      k + 1 < j ? WalkPlannedProducts(chain, plan, k + 1, j, maps, parents)
-                : -1;
+  ProductNode node;
+  node.left_node = WalkPlannedProducts(chain, plan, i, k, budget, parents);
+  node.right_node =
+      WalkPlannedProducts(chain, plan, k + 1, j, budget, parents);
+  if (node.left_node < 0) node.left = chain[static_cast<std::size_t>(i)];
+  if (node.right_node < 0) {
+    node.right = chain[static_cast<std::size_t>(k) + 1];
+  }
+  auto map_of = [budget](const ATMatrix* leaf, int id) -> const DensityMap& {
+    return leaf != nullptr ? leaf->density_map()
+                           : budget->planned_maps[static_cast<std::size_t>(id)];
+  };
   DensityMap product = EstimateProductDensity(
-      left >= 0 ? (*maps)[static_cast<std::size_t>(left)]
-                : chain[static_cast<std::size_t>(i)]->density_map(),
-      right >= 0 ? (*maps)[static_cast<std::size_t>(right)]
-                 : chain[static_cast<std::size_t>(k) + 1]->density_map());
-  const int id = static_cast<int>(maps->size());
-  maps->push_back(std::move(product));
+      map_of(node.left, node.left_node), map_of(node.right, node.right_node));
+  const int id = static_cast<int>(budget->products.size());
+  budget->planned_maps.push_back(std::move(product));
+  budget->products.push_back(node);
   parents->push_back(-1);
-  if (left >= 0) (*parents)[static_cast<std::size_t>(left)] = id;
-  if (right >= 0) (*parents)[static_cast<std::size_t>(right)] = id;
+  if (node.left_node >= 0) {
+    (*parents)[static_cast<std::size_t>(node.left_node)] = id;
+  }
+  if (node.right_node >= 0) {
+    (*parents)[static_cast<std::size_t>(node.right_node)] = id;
+  }
   return id;
 }
 
@@ -274,33 +285,38 @@ ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
   const int n = static_cast<int>(chain.size());
   if (n < 2) return budget;
   std::vector<int> parents;
-  WalkPlannedProducts(chain, plan, 0, n - 1, &budget.planned_maps, &parents);
+  WalkPlannedProducts(chain, plan, 0, n - 1, &budget, &parents);
   budget.rho_w.assign(budget.planned_maps.size(), config.rho_write);
   // Budgeting needs a finite limit and the estimator for the planned
   // topologies.
-  if (config.result_mem_limit_bytes ==
-          std::numeric_limits<std::size_t>::max() ||
-      !config.density_estimation) {
-    return budget;
+  if (config.result_mem_limit_bytes !=
+          std::numeric_limits<std::size_t>::max() &&
+      config.density_estimation) {
+    if (budget.planned_maps.size() == 1) {
+      // A single product gets the operator's own per-product water level,
+      // exactly as AtMult::Multiply solves it.
+      budget.rho_w[0] = EffectiveWriteThreshold(
+          budget.planned_maps[0], config.rho_write,
+          config.result_mem_limit_bytes, &budget.feasible);
+    } else {
+      budget.active = true;
+      budget.budget_bytes = config.result_mem_limit_bytes;
+      std::vector<const DensityMap*> maps;
+      maps.reserve(budget.planned_maps.size());
+      for (const DensityMap& m : budget.planned_maps) maps.push_back(&m);
+      const ChainWaterLevelResult wl = SolveChainWaterLevel(
+          maps, parents, config.rho_write, budget.budget_bytes);
+      budget.rho_w = wl.thresholds;
+      budget.feasible = wl.feasible;
+      budget.projected_peak_bytes = wl.projected_peak_bytes;
+    }
   }
-  if (budget.planned_maps.size() == 1) {
-    // A single product gets the operator's own per-product water level,
-    // exactly as AtMult::Multiply solves it.
-    budget.rho_w[0] = EffectiveWriteThreshold(
-        budget.planned_maps[0], config.rho_write,
-        config.result_mem_limit_bytes, &budget.feasible);
-    return budget;
+  for (std::size_t id = 0; id < budget.products.size(); ++id) {
+    ProductNode& node = budget.products[id];
+    node.rho_w = budget.rho_w[id];
+    node.feasible = budget.feasible;
+    node.planned = &budget.planned_maps[id];
   }
-  budget.active = true;
-  budget.budget_bytes = config.result_mem_limit_bytes;
-  std::vector<const DensityMap*> maps;
-  maps.reserve(budget.planned_maps.size());
-  for (const DensityMap& m : budget.planned_maps) maps.push_back(&m);
-  const ChainWaterLevelResult wl = SolveChainWaterLevel(
-      maps, parents, config.rho_write, budget.budget_bytes);
-  budget.rho_w = wl.thresholds;
-  budget.feasible = wl.feasible;
-  budget.projected_peak_bytes = wl.projected_peak_bytes;
   return budget;
 }
 
@@ -709,6 +725,7 @@ ATMatrix ExecuteProducts(const std::vector<ProductNode>& specs,
 #endif
     AccumulateProductStats(node.stats, &stats->total);
     stats->per_product.push_back(node.stats);
+    if (node.ctx.ledger_enabled) stats->product_ops.push_back(node.ctx.op_id);
   }
   if (one_dag) AttributeSchedule(dag_sched, &stats->total);
 

@@ -35,37 +35,6 @@
 
 namespace atmx::internal {
 
-// Chain-scope memory plan: per-product write thresholds solved against the
-// shared result_mem_limit_bytes budget, charging each intermediate for its
-// resident lifetime (producer through last consumer; see
-// SolveChainWaterLevel). Products are indexed in post-order of the plan
-// tree — the same order as ChainExecStats::per_product.
-struct ChainBudgetPlan {
-  // True when a finite budget (with density estimation) drives
-  // chain-scope thresholds over two or more products; false leaves the
-  // thresholds at the performance-optimal rho_write (a single product
-  // under a finite budget gets its own water level instead).
-  bool active = false;
-  // False when even the memory-minimal thresholds miss the budget; the
-  // thresholds are then the clamped floor and ExecuteChain downgrades to
-  // product-at-a-time execution as a last resort.
-  bool feasible = true;
-  std::size_t budget_bytes = 0;
-  std::size_t projected_peak_bytes = 0;
-  std::vector<double> rho_w;              // per product, post-order
-  std::vector<DensityMap> planned_maps;   // per product, post-order
-};
-
-// Builds the budget plan for the chain: estimates every product's
-// topology bottom-up along the plan tree and, when the operator's budget
-// is finite, solves the chain-scope water level over the products'
-// resident lifetimes (or, for a single product, the operator's own
-// per-product water level). With an unbounded budget (or estimation
-// disabled) the plan comes back inactive with only the planned maps
-// filled.
-ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
-                                const ChainPlan& plan, const AtMult& op);
-
 // One product of a post-order product tree: children come before their
 // parent and the root is the last node.
 struct ProductNode {
@@ -91,6 +60,47 @@ struct ProductNode {
   // `estimate`; required for intermediates and under a budget.
   const DensityMap* planned = nullptr;
 };
+
+// Chain-scope memory plan: per-product write thresholds solved against the
+// shared result_mem_limit_bytes budget, charging each intermediate for its
+// resident lifetime (producer through last consumer; see
+// SolveChainWaterLevel). Products are indexed in post-order of the plan
+// tree — the same order as ChainExecStats::per_product.
+struct ChainBudgetPlan {
+  // Move-only: products[id].planned points into this plan's planned_maps.
+  ChainBudgetPlan() = default;
+  ChainBudgetPlan(ChainBudgetPlan&&) = default;
+  ChainBudgetPlan& operator=(ChainBudgetPlan&&) = default;
+  ChainBudgetPlan(const ChainBudgetPlan&) = delete;
+  ChainBudgetPlan& operator=(const ChainBudgetPlan&) = delete;
+
+  // True when a finite budget (with density estimation) drives
+  // chain-scope thresholds over two or more products; false leaves the
+  // thresholds at the performance-optimal rho_write (a single product
+  // under a finite budget gets its own water level instead).
+  bool active = false;
+  // False when even the memory-minimal thresholds miss the budget; the
+  // thresholds are then the clamped floor and ExecuteChain downgrades to
+  // product-at-a-time execution as a last resort.
+  bool feasible = true;
+  std::size_t budget_bytes = 0;
+  std::size_t projected_peak_bytes = 0;
+  std::vector<double> rho_w;              // per product, post-order
+  std::vector<DensityMap> planned_maps;   // per product, post-order
+  // The plan tree as the executor's product nodes, post-order, each with
+  // its threshold, feasibility and planned map filled in.
+  std::vector<ProductNode> products;
+};
+
+// Builds the budget plan for the chain in one post-order walk of the plan
+// tree, which yields the product nodes and every product's topology
+// estimated bottom-up. When the operator's budget is finite, solves the
+// chain-scope water level over the products' resident lifetimes (or, for
+// a single product, the operator's own per-product water level). With an
+// unbounded budget (or estimation disabled) the plan comes back inactive,
+// every threshold at rho_write.
+ChainBudgetPlan PlanChainBudget(const std::vector<const ATMatrix*>& chain,
+                                const ChainPlan& plan, const AtMult& op);
 
 enum class ExecMode { kFused, kPerNode };
 

@@ -6,11 +6,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/math_util.h"
 #include "common/table_printer.h"
 #include "estimate/density_estimator.h"
 #include "estimate/water_level.h"
-#include "ops/optimizer.h"
+#include "ops/product_task.h"
 
 namespace atmx {
 
@@ -125,15 +124,23 @@ std::string FormatChainDecisions(
   os << "ChainDecisions: " << records.size() << " chains\n";
   if (records.empty()) return os.str();
 
-  TablePrinter table({"op", "plan", "len", "planned", "left-to-right",
-                      "fused", "tasks", "resident peak", "budget", "time"});
+  TablePrinter table({"op", "products", "plan", "len", "planned",
+                      "left-to-right", "fused", "tasks", "resident peak",
+                      "budget", "time"});
   const index_t total = static_cast<index_t>(records.size());
   const index_t shown = std::min<index_t>(max_rows, total);
   // Newest records are the interesting ones; the snapshot is oldest-first.
   for (index_t i = total - shown; i < total; ++i) {
     const obs::ChainAuditRecord& r = records[i];
+    // The products' op ids join the chain to their pair rows.
+    std::string products;
+    for (const std::uint64_t op : r.product_ops) {
+      if (!products.empty()) products.append(",");
+      products.append(std::to_string(op));
+    }
     // One effective write threshold per product; n matrices, n-1 products.
-    table.AddRow({std::to_string(r.op), r.plan,
+    table.AddRow({std::to_string(r.op), products.empty() ? "-" : products,
+                  r.plan,
                   std::to_string(r.rho_w.size() + 1),
                   TablePrinter::Fmt(r.planned_cost, 0),
                   TablePrinter::Fmt(r.alternative_cost, 0),
@@ -157,7 +164,6 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
                              const CostModel& cost_model) {
   ATMX_CHECK_EQ(a.cols(), b.rows());
   ATMX_CHECK_EQ(a.b_atomic(), b.b_atomic());
-  const index_t block = a.b_atomic();
 
   MultiplyPlan plan;
   plan.num_row_bands = a.num_row_bands();
@@ -174,6 +180,17 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
   }
   plan.effective_write_threshold = rho_w;
 
+  // The executor's planning phase over views of the two matrices.
+  internal::ProductContext ctx;
+  ctx.a = internal::OperandView::FromMatrix(a);
+  ctx.b = internal::OperandView::FromMatrix(b);
+  ctx.block = a.b_atomic();
+  ctx.use_estimate = config.density_estimation;
+  ctx.estimate = &estimate;
+  ctx.rho_w = rho_w;
+  ctx.dynamic_conversion = config.dynamic_conversion;
+  ctx.cost_model = &cost_model;
+
   // Tracks which tiles a JIT conversion has already been planned for, so
   // the cached-conversion logic matches execution: one record per
   // distinct operand matrix, shared by both sides in A * A.
@@ -183,95 +200,45 @@ MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
   std::vector<bool>& b_converted = &a == &b ? a_record : b_record;
 
   for (index_t ti = 0; ti < plan.num_row_bands; ++ti) {
-    const index_t r0 = a.row_bounds()[ti];
-    const index_t r1 = a.row_bounds()[ti + 1];
     for (index_t tj = 0; tj < plan.num_col_bands; ++tj) {
-      const index_t c0 = b.col_bounds()[tj];
-      const index_t c1 = b.col_bounds()[tj + 1];
-      const index_t m = r1 - r0;
-      const index_t n = c1 - c0;
-
-      double rho_c = 0.0;
-      if (config.density_estimation) {
-        rho_c = estimate.RegionDensity(r0 / block, c0 / block,
-                                       CeilDiv(m, block), CeilDiv(n, block));
-      }
-      const bool c_dense = config.density_estimation && rho_c >= rho_w;
-      if (c_dense) {
+      const internal::TileTarget target =
+          internal::PlanTileTarget(ctx, ti, tj);
+      if (target.c_dense) {
         plan.dense_target_tiles++;
       } else {
         plan.sparse_target_tiles++;
       }
-
-      auto a_band = a.TilesInRowBand(ti);
-      auto b_band = b.TilesInColBand(tj);
-      std::size_t ia = 0, ib = 0;
-      while (ia < a_band.size() && ib < b_band.size()) {
-        const Tile& at = a.tiles()[a_band[ia]];
-        const Tile& bt = b.tiles()[b_band[ib]];
-        const index_t k0 = std::max(at.col0(), bt.row0());
-        const index_t k1 = std::min(at.col_end(), bt.row_end());
-        const bool advance_a = at.col_end() <= bt.row_end();
-        if (k1 > k0 && at.nnz() > 0 && bt.nnz() > 0) {
-          MultiplyShape shape;
-          shape.m = m;
-          shape.k = k1 - k0;
-          shape.n = n;
-          shape.rho_a = a.density_map().RegionDensity(
-              r0 / block, k0 / block, CeilDiv(m, block),
-              CeilDiv(shape.k, block));
-          shape.rho_b = b.density_map().RegionDensity(
-              k0 / block, c0 / block, CeilDiv(shape.k, block),
-              CeilDiv(n, block));
-          shape.rho_c = rho_c;
-          if (shape.rho_a > 0.0 && shape.rho_b > 0.0) {
-            PairDecision decision;
-            if (config.dynamic_conversion) {
-              decision = DecidePairRepresentations(
-                  cost_model, shape, at.is_dense(), bt.is_dense(),
-                  a_converted[a_band[ia]], b_converted[b_band[ib]], c_dense,
-                  true);
-            } else {
-              decision.a_dense = at.is_dense();
-              decision.b_dense = bt.is_dense();
-              decision.projected_cost = cost_model.ComputeCost(
-                  MakeKernelType(at.is_dense(), bt.is_dense(), c_dense),
-                  shape);
-            }
+      internal::PlanTilePairs(
+          ctx, target,
+          [&](bool b_side, index_t idx) {
+            return (b_side ? b_converted : a_converted)[idx];
+          },
+          [&](const internal::DecidedPair& p) {
             PlannedPair pair;
             pair.ti = ti;
             pair.tj = tj;
-            pair.k0 = k0;
-            pair.k1 = k1;
-            pair.rho_a = shape.rho_a;
-            pair.rho_b = shape.rho_b;
-            pair.kernel = MakeKernelType(decision.a_dense, decision.b_dense,
-                                         c_dense);
-            pair.projected_cost = decision.projected_cost;
+            pair.k0 = p.k0;
+            pair.k1 = p.k1;
+            pair.rho_a = p.shape.rho_a;
+            pair.rho_b = p.shape.rho_b;
+            pair.kernel = MakeKernelType(p.decision.a_dense,
+                                         p.decision.b_dense, target.c_dense);
+            pair.projected_cost = p.decision.projected_cost;
             // A before B: in A * A a diagonal pair's second side finds the
             // tile the first side just converted.
-            pair.converts_a =
-                decision.a_converted && !a_converted[a_band[ia]];
+            pair.converts_a = p.decision.a_converted && !a_converted[p.a_idx];
             if (pair.converts_a) {
-              a_converted[a_band[ia]] = true;
+              a_converted[p.a_idx] = true;
               plan.planned_conversions++;
             }
-            pair.converts_b =
-                decision.b_converted && !b_converted[b_band[ib]];
+            pair.converts_b = p.decision.b_converted && !b_converted[p.b_idx];
             if (pair.converts_b) {
-              b_converted[b_band[ib]] = true;
+              b_converted[p.b_idx] = true;
               plan.planned_conversions++;
             }
-            plan.total_projected_cost += decision.projected_cost;
+            plan.total_projected_cost += p.decision.projected_cost;
             plan.pairs.push_back(pair);
-          }
-        }
-        if (advance_a) {
-          ++ia;
-        } else {
-          ++ib;
-        }
-      }
+          });
     }
   }
   return plan;

@@ -55,7 +55,9 @@ struct MultiplyPlan {
 // Plans C = A * B under the given configuration and cost model, mirroring
 // every decision AtMult::Multiply would take (estimate, water level,
 // target representations, pair kernels, JIT conversions) without running
-// any kernel.
+// any kernel. The pairs come from the executor's own planning phase
+// (internal::PlanTilePairs), visited in task order as a one-team static
+// schedule runs them.
 MultiplyPlan ExplainMultiply(const ATMatrix& a, const ATMatrix& b,
                              const AtmConfig& config,
                              const CostModel& cost_model = CostModel());
@@ -69,8 +71,9 @@ std::string FormatDecisions(const std::vector<obs::ReprAuditRecord>& records,
                             index_t max_rows = 24);
 
 // Renders the audit ledger's chain records (one per ExecuteChain call:
-// chosen parenthesization, planned vs left-to-right cost, fusion outcome,
-// resident-tile peak) as a table, newest `max_rows`. See docs/CHAINS.md.
+// its products' op ids, chosen parenthesization, planned vs left-to-right
+// cost, fusion outcome, resident-tile peak) as a table, newest `max_rows`.
+// See docs/CHAINS.md.
 std::string FormatChainDecisions(
     const std::vector<obs::ChainAuditRecord>& records,
     index_t max_rows = 16);

@@ -66,33 +66,31 @@ OperandView OperandView::FromGrid(const std::vector<Tile>* tiles,
 
 namespace {
 
-// One matching tile pair contributing to a C tile: A tile x B tile over the
-// shared contraction range [k0, k1).
-struct MatchedPair {
-  const Tile* a_tile;
-  index_t a_idx;
-  const Tile* b_tile;
-  index_t b_idx;
-  index_t k0;
-  index_t k1;
-};
+// Row blocks of the accumulate loop. A dense target hands out small blocks
+// dynamically: rows are cheap to split and skewed operands balance better.
+// A sparse block is one CSR piece with its own SPA, so a sparse target
+// gets at most one block per thread, each of at least kSparseMinRowBlock
+// rows.
+constexpr index_t kDenseRowBlock = 16;
+constexpr index_t kSparseMinRowBlock = 64;
 
 // Prepared pair: operands resolved to concrete representations/windows.
 struct PreparedPair {
   Operand a;
   Operand b;
+  KernelType kernel;
   std::uint64_t a_read_bytes;
   std::uint64_t b_read_bytes;
   int a_home;
   int b_home;
 };
 
-// Concatenates per-thread row-chunk CSRs (chunk c covers rows
-// [splits[c], splits[c+1])) into one matrix of `rows` rows.
-CsrMatrix ConcatCsrRowChunks(std::vector<CsrMatrix> chunks, index_t rows,
+// Concatenates row-block CSRs (block c covers the rows after block c - 1)
+// into one matrix of `rows` rows.
+CsrMatrix ConcatCsrRowBlocks(std::vector<CsrMatrix> blocks, index_t rows,
                              index_t cols) {
   index_t nnz = 0;
-  for (const CsrMatrix& c : chunks) nnz += c.nnz();
+  for (const CsrMatrix& c : blocks) nnz += c.nnz();
   std::vector<index_t> row_ptr;
   row_ptr.reserve(rows + 1);
   row_ptr.push_back(0);
@@ -100,7 +98,7 @@ CsrMatrix ConcatCsrRowChunks(std::vector<CsrMatrix> chunks, index_t rows,
   col_idx.reserve(nnz);
   std::vector<value_t> values;
   values.reserve(nnz);
-  for (const CsrMatrix& c : chunks) {
+  for (const CsrMatrix& c : blocks) {
     const index_t offset = static_cast<index_t>(col_idx.size());
     for (index_t i = 0; i < c.rows(); ++i) {
       row_ptr.push_back(c.row_ptr()[i + 1] + offset);
@@ -121,7 +119,102 @@ std::uint64_t ApproxWindowBytes(bool dense, double rho, index_t m,
       dense ? area * kDenseElemBytes : rho * area * kSparseElemBytes);
 }
 
+// Resolves one operand window to the representation the decision chose,
+// converting the tile just in time (through the cache) when needed.
+Operand ResolveOperand(const Tile& tile, index_t tile_idx, bool want_dense,
+                       const Window& w, ConversionCache* cache,
+                       index_t* to_dense, index_t* to_sparse) {
+  if (want_dense) {
+    const DenseMatrix& dm = tile.is_dense()
+                                ? tile.dense()
+                                : cache->GetDense(tile_idx, tile, to_dense);
+    return Operand::Dense(dm.View().Window(w.r0, w.c0, w.rows(), w.cols()));
+  }
+  const CsrMatrix& sm = tile.is_dense()
+                            ? cache->GetSparse(tile_idx, tile, to_sparse)
+                            : tile.sparse();
+  return Operand::Sparse(&sm, w);
+}
+
 }  // namespace
+
+TileTarget PlanTileTarget(const ProductContext& ctx, index_t ti, index_t tj) {
+  TileTarget t;
+  t.ti = ti;
+  t.tj = tj;
+  t.r0 = ctx.a.row_bounds()[ti];
+  t.r1 = ctx.a.row_bounds()[ti + 1];
+  t.c0 = ctx.b.col_bounds()[tj];
+  t.c1 = ctx.b.col_bounds()[tj + 1];
+  if (ctx.use_estimate) {
+    t.rho_c = ctx.estimate->RegionDensity(
+        t.r0 / ctx.block, t.c0 / ctx.block, CeilDiv(t.r1 - t.r0, ctx.block),
+        CeilDiv(t.c1 - t.c0, ctx.block));
+  }
+  t.c_dense = ctx.use_estimate && t.rho_c >= ctx.rho_w;
+  return t;
+}
+
+void PlanTilePairs(
+    const ProductContext& ctx, const TileTarget& target,
+    const std::function<bool(bool b_side, index_t tile_idx)>& is_converted,
+    const std::function<void(const DecidedPair&)>& on_pair) {
+  const OperandView& a = ctx.a;
+  const OperandView& b = ctx.b;
+  const index_t block = ctx.block;
+  const index_t m = target.r1 - target.r0;
+  const index_t n = target.c1 - target.c0;
+  const auto a_band = a.TilesInRowBand(target.ti);
+  const auto b_band = b.TilesInColBand(target.tj);
+  std::size_t ia = 0, ib = 0;
+  while (ia < a_band.size() && ib < b_band.size()) {
+    const Tile& at = a.tile(a_band[ia]);
+    const Tile& bt = b.tile(b_band[ib]);
+    DecidedPair p;
+    p.a_idx = a_band[ia];
+    p.b_idx = b_band[ib];
+    p.k0 = std::max(at.col0(), bt.row0());
+    p.k1 = std::min(at.col_end(), bt.row_end());
+    if (at.col_end() <= bt.row_end()) {
+      ++ia;
+    } else {
+      ++ib;
+    }
+    if (p.k1 <= p.k0 || at.nnz() == 0 || bt.nnz() == 0) continue;
+
+    const index_t k = p.k1 - p.k0;
+    p.shape.m = m;
+    p.shape.k = k;
+    p.shape.n = n;
+    p.shape.rho_a = a.map().RegionDensity(target.r0 / block, p.k0 / block,
+                                          CeilDiv(m, block), CeilDiv(k, block));
+    p.shape.rho_b = b.map().RegionDensity(p.k0 / block, target.c0 / block,
+                                          CeilDiv(k, block), CeilDiv(n, block));
+    p.shape.rho_c = target.rho_c;
+    // The tile pair matched on bounding boxes, but the referenced windows
+    // can still be exactly empty (e.g. a huge melted sparse tile that only
+    // touches the band in a far corner). The density map is exact at block
+    // granularity and windows are block-aligned, so a zero region density
+    // proves the pair contributes nothing.
+    if (p.shape.rho_a == 0.0 || p.shape.rho_b == 0.0) continue;
+
+    if (ctx.dynamic_conversion) {
+      p.a_cached = is_converted(/*b_side=*/false, p.a_idx);
+      p.b_cached = is_converted(/*b_side=*/true, p.b_idx);
+      p.decision = DecidePairRepresentations(
+          *ctx.cost_model, p.shape, at.is_dense(), bt.is_dense(), p.a_cached,
+          p.b_cached, target.c_dense, /*allow_conversion=*/true);
+    } else {
+      p.decision.a_dense = at.is_dense();
+      p.decision.b_dense = bt.is_dense();
+      p.decision.projected_cost = ctx.cost_model->ComputeCost(
+          MakeKernelType(at.is_dense(), bt.is_dense(), target.c_dense),
+          p.shape);
+      p.decision.stored_cost = p.decision.projected_cost;
+    }
+    on_pair(p);
+  }
+}
 
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task) {
@@ -129,12 +222,15 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   const OperandView& b = ctx.b;
   const index_t block = ctx.block;
   const index_t num_tj = b.num_col_bands();
-  const index_t ti = task / num_tj;
-  const index_t tj = task % num_tj;
-  const index_t r0 = a.row_bounds()[ti];
-  const index_t r1 = a.row_bounds()[ti + 1];
-  const index_t c0 = b.col_bounds()[tj];
-  const index_t c1 = b.col_bounds()[tj + 1];
+  const TileTarget target = PlanTileTarget(ctx, task / num_tj, task % num_tj);
+  const index_t ti = target.ti;
+  const index_t tj = target.tj;
+  const index_t r0 = target.r0;
+  const index_t r1 = target.r1;
+  const index_t c0 = target.c0;
+  const index_t c1 = target.c1;
+  const double rho_c = target.rho_c;
+  const bool c_dense = target.c_dense;
   // Once per task, so cheap enough to keep in release builds: any check
   // failure below names the C tile being produced.
   ScopedCheckContext check_ctx(
@@ -151,7 +247,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
 
   double opt_seconds = 0.0;  // decisions + JIT conversions
   double mult_seconds = 0.0;
-  index_t pairs_done = 0;
   index_t to_dense = 0;  // JIT conversions this task made
   index_t to_sparse = 0;
   std::uint64_t local_read = 0, remote_read = 0;
@@ -178,14 +273,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   const index_t region_bcols = CeilDiv(c1, block) - bj0;
   std::vector<index_t> block_counts(
       static_cast<std::size_t>((CeilDiv(r1, block) - bi0) * region_bcols), 0);
-
-  // Target representation from the estimated density (Alg. 2 l. 6).
-  double rho_c = 0.0;
-  if (ctx.use_estimate) {
-    rho_c = ctx.estimate->RegionDensity(r0 / block, c0 / block,
-                                        CeilDiv(m, block), CeilDiv(n, block));
-  }
-  const bool c_dense = ctx.use_estimate && rho_c >= ctx.rho_w;
 
   // Accumulator windows: tiles of the initial C overlapping this task's
   // region, with their intersection boxes in region-local coordinates.
@@ -219,349 +306,227 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
     }
   }
 
-  // --- Match tiles along the contraction dimension (Fig. 4). ----------
-  std::vector<MatchedPair> matched;
-  {
-    auto a_band = a.TilesInRowBand(ti);
-    auto b_band = b.TilesInColBand(tj);
-    std::size_t ia = 0, ib = 0;
-    while (ia < a_band.size() && ib < b_band.size()) {
-      const Tile& at = a.tile(a_band[ia]);
-      const Tile& bt = b.tile(b_band[ib]);
-      const index_t k0 = std::max(at.col0(), bt.row0());
-      const index_t k1 = std::min(at.col_end(), bt.row_end());
-      if (k1 > k0 && at.nnz() > 0 && bt.nnz() > 0) {
-        matched.push_back({&at, a_band[ia], &bt, b_band[ib], k0, k1});
-      }
-      if (at.col_end() <= bt.row_end()) {
-        ++ia;
-      } else {
-        ++ib;
-      }
-    }
-  }
-
-  // --- Optimize each pair: representations + JIT conversions. ---------
+  // --- Plan every pair, resolving its operands (JIT conversions). ------
   std::vector<PreparedPair> prepared;
-  prepared.reserve(matched.size());
   {
     WallTimer opt_timer;
-    for (const MatchedPair& mp : matched) {
-      const index_t k = mp.k1 - mp.k0;
-      MultiplyShape shape;
-      shape.m = m;
-      shape.k = k;
-      shape.n = n;
-      shape.rho_a = a.map().RegionDensity(
-          r0 / block, mp.k0 / block, CeilDiv(m, block), CeilDiv(k, block));
-      shape.rho_b = b.map().RegionDensity(
-          mp.k0 / block, c0 / block, CeilDiv(k, block), CeilDiv(n, block));
-      shape.rho_c = rho_c;
-
-      // The tile pair matched on bounding boxes, but the referenced
-      // windows can still be exactly empty (e.g. a huge melted sparse
-      // tile that only touches the band in a far corner). The density
-      // map is exact at block granularity and windows are block-aligned,
-      // so a zero region density proves the pair contributes nothing.
-      if (shape.rho_a == 0.0 || shape.rho_b == 0.0) continue;
-
-      PairDecision decision;
-      bool a_cached = false, b_cached = false;
-      if (ctx.dynamic_conversion) {
-        a_cached =
-            mp.a_tile->is_dense()
-                ? ctx.a_cache->HasSparse(mp.a_idx)
-                : ctx.a_cache->HasDense(mp.a_idx);
-        b_cached =
-            mp.b_tile->is_dense()
-                ? ctx.b_cache->HasSparse(mp.b_idx)
-                : ctx.b_cache->HasDense(mp.b_idx);
-        decision = DecidePairRepresentations(
-            *ctx.cost_model, shape, mp.a_tile->is_dense(),
-            mp.b_tile->is_dense(), a_cached, b_cached, c_dense,
-            /*allow_conversion=*/true);
-      } else {
-        decision.a_dense = mp.a_tile->is_dense();
-        decision.b_dense = mp.b_tile->is_dense();
-      }
-
+    PlanTilePairs(
+        ctx, target,
+        [&](bool b_side, index_t idx) {
+          const Tile& t = b_side ? b.tile(idx) : a.tile(idx);
+          const ConversionCache* cache = b_side ? ctx.b_cache : ctx.a_cache;
+          return t.is_dense() ? cache->HasSparse(idx) : cache->HasDense(idx);
+        },
+        [&](const DecidedPair& p) {
+          const Tile& at = a.tile(p.a_idx);
+          const Tile& bt = b.tile(p.b_idx);
+          const KernelType kernel = MakeKernelType(
+              p.decision.a_dense, p.decision.b_dense, c_dense);
 #if defined(ATMX_OBS_ENABLED)
-      if (ctx.ledger_enabled) {
-        const KernelType chosen =
-            MakeKernelType(decision.a_dense, decision.b_dense, c_dense);
-        // Task-level cost prediction: pair compute (+ conversion when the
-        // optimizer priced one in) plus the expected SPA traffic feeding
-        // the write side accounted after the loop.
-        const double chosen_cost =
-            ctx.dynamic_conversion
-                ? decision.projected_cost
-                : ctx.cost_model->ComputeCost(chosen, shape);
-        predicted_task_cost += chosen_cost;
-        predicted_intermediates += shape.rho_a * shape.rho_b *
-                                   static_cast<double>(shape.m) *
-                                   static_cast<double>(shape.k) *
-                                   static_cast<double>(shape.n);
-        // Every decided pair is recorded, held back until the tile's
-        // realized density is known.
-        obs::ReprAuditRecord repr;
-        repr.op = ctx.op_id;
-        repr.ti = ti;
-        repr.tj = tj;
-        repr.k0 = mp.k0;
-        repr.k1 = mp.k1;
-        repr.m = shape.m;
-        repr.k = shape.k;
-        repr.n = shape.n;
-        repr.rho_a = shape.rho_a;
-        repr.rho_b = shape.rho_b;
-        repr.rho_c_pred = ctx.use_estimate ? rho_c : -1.0;
-        repr.rho_c_actual = -1.0;
-        repr.rho_w = ctx.rho_w;
-        repr.a_stored_dense = mp.a_tile->is_dense();
-        repr.b_stored_dense = mp.b_tile->is_dense();
-        repr.a_cached = a_cached;
-        repr.b_cached = b_cached;
-        repr.allow_conversion = ctx.dynamic_conversion;
-        repr.c_dense = c_dense;
-        repr.kernel = static_cast<int>(chosen);
-        repr.stored_cost =
-            ctx.dynamic_conversion ? decision.stored_cost : chosen_cost;
-        repr.chosen_cost = chosen_cost;
-        pending_repr.push_back(repr);
-      }
+          if (ctx.ledger_enabled) {
+            // Task-level cost prediction: pair compute (+ conversion when
+            // the optimizer priced one in) plus the expected SPA traffic
+            // feeding the write side accounted after the loop.
+            predicted_task_cost += p.decision.projected_cost;
+            predicted_intermediates += p.shape.rho_a * p.shape.rho_b *
+                                       static_cast<double>(p.shape.m) *
+                                       static_cast<double>(p.shape.k) *
+                                       static_cast<double>(p.shape.n);
+            // Every decided pair is recorded, held back until the tile's
+            // realized density is known.
+            obs::ReprAuditRecord repr;
+            repr.op = ctx.op_id;
+            repr.ti = ti;
+            repr.tj = tj;
+            repr.k0 = p.k0;
+            repr.k1 = p.k1;
+            repr.m = p.shape.m;
+            repr.k = p.shape.k;
+            repr.n = p.shape.n;
+            repr.rho_a = p.shape.rho_a;
+            repr.rho_b = p.shape.rho_b;
+            repr.rho_c_pred = ctx.use_estimate ? rho_c : -1.0;
+            repr.rho_c_actual = -1.0;
+            repr.rho_w = ctx.rho_w;
+            repr.a_stored_dense = at.is_dense();
+            repr.b_stored_dense = bt.is_dense();
+            repr.a_cached = p.a_cached;
+            repr.b_cached = p.b_cached;
+            repr.allow_conversion = ctx.dynamic_conversion;
+            repr.c_dense = c_dense;
+            repr.kernel = static_cast<int>(kernel);
+            repr.stored_cost = p.decision.stored_cost;
+            repr.chosen_cost = p.decision.projected_cost;
+            pending_repr.push_back(repr);
+          }
 #endif
-
-      PreparedPair pp;
-      pp.a_home = mp.a_tile->home_node();
-      pp.b_home = mp.b_tile->home_node();
-      // A operand: window rows = C rows, window cols = [k0, k1).
-      const Window wa{r0 - mp.a_tile->row0(), r1 - mp.a_tile->row0(),
-                      mp.k0 - mp.a_tile->col0(),
-                      mp.k1 - mp.a_tile->col0()};
-      if (decision.a_dense) {
-        const DenseMatrix& dm =
-            mp.a_tile->is_dense()
-                ? mp.a_tile->dense()
-                : ctx.a_cache->GetDense(mp.a_idx, *mp.a_tile, &to_dense);
-        pp.a = Operand::Dense(
-            dm.View().Window(wa.r0, wa.c0, wa.rows(), wa.cols()));
-      } else {
-        const CsrMatrix& sm =
-            mp.a_tile->is_dense()
-                ? ctx.a_cache->GetSparse(mp.a_idx, *mp.a_tile, &to_sparse)
-                : mp.a_tile->sparse();
-        pp.a = Operand::Sparse(&sm, wa);
-      }
-      // B operand: window rows = [k0, k1), window cols = C cols.
-      const Window wb{mp.k0 - mp.b_tile->row0(), mp.k1 - mp.b_tile->row0(),
-                      c0 - mp.b_tile->col0(), c1 - mp.b_tile->col0()};
-      if (decision.b_dense) {
-        const DenseMatrix& dm =
-            mp.b_tile->is_dense()
-                ? mp.b_tile->dense()
-                : ctx.b_cache->GetDense(mp.b_idx, *mp.b_tile, &to_dense);
-        pp.b = Operand::Dense(
-            dm.View().Window(wb.r0, wb.c0, wb.rows(), wb.cols()));
-      } else {
-        const CsrMatrix& sm =
-            mp.b_tile->is_dense()
-                ? ctx.b_cache->GetSparse(mp.b_idx, *mp.b_tile, &to_sparse)
-                : mp.b_tile->sparse();
-        pp.b = Operand::Sparse(&sm, wb);
-      }
-      pp.a_read_bytes = ApproxWindowBytes(decision.a_dense, shape.rho_a,
-                                          shape.m, shape.k);
-      pp.b_read_bytes = ApproxWindowBytes(decision.b_dense, shape.rho_b,
-                                          shape.k, shape.n);
-      prepared.push_back(std::move(pp));
-    }
+          PreparedPair pp;
+          pp.kernel = kernel;
+          pp.a_home = at.home_node();
+          pp.b_home = bt.home_node();
+          // A operand: window rows = C rows, window cols = [k0, k1).
+          pp.a = ResolveOperand(
+              at, p.a_idx, p.decision.a_dense,
+              Window{r0 - at.row0(), r1 - at.row0(), p.k0 - at.col0(),
+                     p.k1 - at.col0()},
+              ctx.a_cache, &to_dense, &to_sparse);
+          // B operand: window rows = [k0, k1), window cols = C cols.
+          pp.b = ResolveOperand(
+              bt, p.b_idx, p.decision.b_dense,
+              Window{p.k0 - bt.row0(), p.k1 - bt.row0(), c0 - bt.col0(),
+                     c1 - bt.col0()},
+              ctx.b_cache, &to_dense, &to_sparse);
+          pp.a_read_bytes = ApproxWindowBytes(p.decision.a_dense,
+                                              p.shape.rho_a, m, p.shape.k);
+          pp.b_read_bytes = ApproxWindowBytes(p.decision.b_dense,
+                                              p.shape.rho_b, p.shape.k, n);
+          prepared.push_back(pp);
+        });
     opt_seconds += opt_timer.ElapsedSeconds();
   }
+  for (const PreparedPair& pp : prepared) {
+    ++task_kernels[static_cast<int>(pp.kernel)];
+  }
 
-  // --- Execute: accumulate all pairs into the C tile. -----------------
+  // --- Accumulate: one row-block loop seeds and applies every pair. ----
   WallTimer mult_timer;
   if (prepared.empty() && seeds.empty()) {
     // Nothing contributes to this C tile (common off the diagonal of
     // banded matrices): emit an empty sparse tile without touching the
     // row loop.
     c_tiles[task] = Tile::MakeSparse(r0, c0, CsrMatrix(m, n));
-  } else if (c_dense) {
-    DenseMatrix target(m, n);
-    for (const SeedWindow& sw : seeds) {
-      if (sw.tile->is_dense()) {
-        const DenseMatrix& d = sw.tile->dense();
-        for (index_t i = sw.tr0; i < sw.tr1; ++i) {
-          const value_t* src = d.data() + i * d.ld() + sw.tc0;
-          value_t* dst = target.data() +
-                         (sw.out_r0 + i - sw.tr0) * target.ld() +
-                         sw.out_c0;
-          for (index_t j = 0; j < sw.tc1 - sw.tc0; ++j) dst[j] += src[j];
-        }
-      } else {
-        const CsrMatrix& sp = sw.tile->sparse();
-        for (index_t i = sw.tr0; i < sw.tr1; ++i) {
-          index_t first, last;
-          sp.RowColRange(i, sw.tc0, sw.tc1, &first, &last);
-          value_t* dst =
-              target.data() + (sw.out_r0 + i - sw.tr0) * target.ld();
-          for (index_t p = first; p < last; ++p) {
-            dst[sw.out_c0 + sp.col_idx()[p] - sw.tc0] += sp.values()[p];
-          }
-        }
-      }
-    }
-    for (const PreparedPair& pp : prepared) {
-      const KernelType kt = DispatchKernelType(pp.a, pp.b, /*c_dense=*/true);
-      ++task_kernels[static_cast<int>(kt)];
-      // Perf span: counter deltas (LLC misses etc.) land as args on the
-      // kernel trace span and accumulate under kernel.<variant>.*. On a
-      // multi-thread team only the calling thread's share is counted.
-      ATMX_PERF_SPAN_ARGS("kernel", KernelTypeName(kt),
-                          KernelPerfMetricPrefix(kt), {"ti", ti},
-                          {"tj", tj}, {"rows", m}, {"cols", n},
-                          {"node", exec_node});
-      team.ParallelFor(m, /*grain=*/16, [&](index_t lo, index_t hi) {
-        MultiplyIntoDense(pp.a, pp.b, target.MutView(), lo, hi);
-      });
-    }
-    // Single cache-hot pass: per-block counts + tile nnz.
-    index_t tile_nnz = 0;
-    for (index_t i = 0; i < m; ++i) {
-      index_t* row_counts = &block_counts[i / block * region_bcols];
-      const value_t* row = target.data() + i * target.ld();
-      for (index_t j0 = 0; j0 < n; j0 += block) {
-        const index_t j1 = std::min(j0 + block, n);
-        index_t count = 0;
-        for (index_t j = j0; j < j1; ++j) count += (row[j] != 0.0);
-        row_counts[j0 / block] += count;
-        tile_nnz += count;
-      }
-    }
-    c_tiles[task] =
-        Tile::MakeDenseCounted(r0, c0, std::move(target), tile_nnz);
   } else {
-    // Seeds one region-local row of the accumulator into the SPA.
-    auto seed_row = [&](index_t i, SparseAccumulator* spa) {
+#if defined(ATMX_OBS_ENABLED)
+    // The row loop interleaves all pairs, so per-pair timing does not
+    // exist; each pair still gets one complete event (emitted after the
+    // loop, covering the whole loop interval and flagged `interleaved`)
+    // so the "kernel" span count equals the kernel invocation counters.
+    const std::int64_t loop_start_ns =
+        obs::TraceRecorder::Global().enabled() ? obs::TraceRecorder::NowNanos()
+                                               : -1;
+    const obs::PerfSnapshot loop_begin = obs::PerfBeginSnapshot();
+#endif
+    // Seeds region-local row `i` from the accumulator windows: add(col,
+    // value) once per stored non-zero. Windows are disjoint, so every C
+    // element receives at most one seed, before any pair.
+    auto seed_row = [&](index_t i, auto&& add) {
       for (const SeedWindow& sw : seeds) {
-        const index_t ti_local = sw.tr0 + (i - sw.out_r0);
-        if (i < sw.out_r0 || ti_local >= sw.tr1) continue;
+        const index_t tile_row = sw.tr0 + (i - sw.out_r0);
+        if (i < sw.out_r0 || tile_row >= sw.tr1) continue;
         if (sw.tile->is_dense()) {
           const DenseMatrix& d = sw.tile->dense();
-          const value_t* src = d.data() + ti_local * d.ld();
+          const value_t* src = d.data() + tile_row * d.ld();
           for (index_t j = sw.tc0; j < sw.tc1; ++j) {
-            if (src[j] != 0.0) {
-              spa->Add(sw.out_c0 + j - sw.tc0, src[j]);
-            }
+            if (src[j] != 0.0) add(sw.out_c0 + j - sw.tc0, src[j]);
           }
         } else {
           const CsrMatrix& sp = sw.tile->sparse();
           index_t first, last;
-          sp.RowColRange(ti_local, sw.tc0, sw.tc1, &first, &last);
+          sp.RowColRange(tile_row, sw.tc0, sw.tc1, &first, &last);
           for (index_t p = first; p < last; ++p) {
-            spa->Add(sw.out_c0 + sp.col_idx()[p] - sw.tc0,
-                     sp.values()[p]);
+            add(sw.out_c0 + sp.col_idx()[p] - sw.tc0, sp.values()[p]);
           }
         }
       }
     };
-#if defined(ATMX_OBS_ENABLED)
-    // The SPA row loop interleaves all pairs, so per-pair timing does
-    // not exist; each pair still gets one complete event (emitted after
-    // the loop, covering the whole loop interval and flagged
-    // `interleaved`) so the "kernel" span count equals the kernel
-    // invocation counters.
-    const std::int64_t sparse_loop_start_ns =
-        obs::TraceRecorder::Global().enabled() ? obs::TraceRecorder::NowNanos()
-                                               : -1;
-    const obs::PerfSnapshot sparse_loop_begin = obs::PerfBeginSnapshot();
-#endif
-    const int num_chunks =
-        static_cast<int>(std::min<index_t>(team.size(), std::max<index_t>(
-                                                            1, m / 64)));
+    // A one-thread team runs the tile as a single block: one kernel call
+    // per pair over all rows.
+    index_t num_blocks = 1;
+    if (team.size() > 1) {
+      num_blocks = c_dense ? CeilDiv(m, kDenseRowBlock)
+                           : std::min<index_t>(
+                                 team.size(),
+                                 std::max<index_t>(1, m / kSparseMinRowBlock));
+    }
+    const index_t block_rows = CeilDiv(m, num_blocks);
+    DenseMatrix dense_target = c_dense ? DenseMatrix(m, n) : DenseMatrix();
+    std::vector<CsrMatrix> sparse_blocks(
+        static_cast<std::size_t>(c_dense ? 0 : num_blocks));
     // Nagasaka-style accumulator selection: ultra-sparse result rows use
     // the hash SPA instead of paying O(n) dense-array init + flag-array
     // cache pollution. Unknown density (estimation off) keeps the dense
     // default; either mode produces bitwise-identical rows.
     const double expected_row_nnz =
         ctx.use_estimate ? rho_c * static_cast<double>(n) : -1.0;
-    if (num_chunks <= 1) {
-      CsrBuilder builder(m, n);
+    auto run_block = [&](index_t blk) {
+      const index_t lo = blk * block_rows;
+      const index_t hi = std::min(lo + block_rows, m);
+      if (c_dense) {
+        const DenseMutView view = dense_target.MutView();
+        for (index_t i = lo; i < hi; ++i) {
+          value_t* dst = view.data + i * view.ld;
+          seed_row(i, [dst](index_t j, value_t v) { dst[j] += v; });
+        }
+        for (const PreparedPair& pp : prepared) {
+          MultiplyIntoDense(pp.a, pp.b, view, lo, hi);
+        }
+        return;
+      }
+      CsrBuilder builder(hi - lo, n);
       SparseAccumulator spa;
       spa.ResizeAdaptive(n, expected_row_nnz);
-      for (index_t i = 0; i < m; ++i) {
-        seed_row(i, &spa);
+      for (index_t i = lo; i < hi; ++i) {
+        seed_row(i, [&spa](index_t j, value_t v) { spa.Add(j, v); });
         for (const PreparedPair& pp : prepared) {
           AccumulateRowInto(pp.a, pp.b, i, &spa);
         }
         spa.FlushToBuilder(&builder);
-        builder.FinishRowsUpTo(i + 1);
+        builder.FinishRowsUpTo(i - lo + 1);
       }
-      c_tiles[task] = Tile::MakeSparse(r0, c0, builder.Build());
-    } else {
-      std::vector<CsrMatrix> chunks(num_chunks);
-      std::vector<index_t> splits(num_chunks + 1);
-      for (int t = 0; t <= num_chunks; ++t) {
-        splits[t] = m * t / num_chunks;
-      }
-      team.ParallelRun([&](int thread) {
-        if (thread >= num_chunks) return;
-        const index_t lo = splits[thread];
-        const index_t hi = splits[thread + 1];
-        CsrBuilder builder(hi - lo, n);
-        SparseAccumulator spa;
-        spa.ResizeAdaptive(n, expected_row_nnz);
-        for (index_t i = lo; i < hi; ++i) {
-          seed_row(i, &spa);
-          for (const PreparedPair& pp : prepared) {
-            AccumulateRowInto(pp.a, pp.b, i, &spa);
-          }
-          spa.FlushToBuilder(&builder);
-          builder.FinishRowsUpTo(i - lo + 1);
+      sparse_blocks[static_cast<std::size_t>(blk)] = builder.Build();
+    };
+    team.ParallelFor(num_blocks, /*grain=*/1, [&](index_t first, index_t last) {
+      for (index_t blk = first; blk < last; ++blk) run_block(blk);
+    });
+
+    if (c_dense) {
+      // Single cache-hot pass: per-block counts + tile nnz.
+      index_t tile_nnz = 0;
+      for (index_t i = 0; i < m; ++i) {
+        index_t* row_counts = &block_counts[i / block * region_bcols];
+        const value_t* row = dense_target.data() + i * dense_target.ld();
+        for (index_t j0 = 0; j0 < n; j0 += block) {
+          const index_t j1 = std::min(j0 + block, n);
+          index_t count = 0;
+          for (index_t j = j0; j < j1; ++j) count += (row[j] != 0.0);
+          row_counts[j0 / block] += count;
+          tile_nnz += count;
         }
-        chunks[thread] = builder.Build();
-      });
+      }
       c_tiles[task] =
-          Tile::MakeSparse(r0, c0, ConcatCsrRowChunks(std::move(chunks),
-                                                      m, n));
-    }
-    for (const PreparedPair& pp : prepared) {
-      const KernelType kt =
-          DispatchKernelType(pp.a, pp.b, /*c_dense=*/false);
-      ++task_kernels[static_cast<int>(kt)];
+          Tile::MakeDenseCounted(r0, c0, std::move(dense_target), tile_nnz);
+    } else {
+      c_tiles[task] = Tile::MakeSparse(
+          r0, c0,
+          num_blocks == 1
+              ? std::move(sparse_blocks.front())
+              : ConcatCsrRowBlocks(std::move(sparse_blocks), m, n));
     }
 #if defined(ATMX_OBS_ENABLED)
-    const obs::PerfDelta sparse_loop_delta =
-        obs::PerfDeltaSince(sparse_loop_begin);
-    if (sparse_loop_delta.valid && !prepared.empty()) {
+    const obs::PerfDelta loop_delta = obs::PerfDeltaSince(loop_begin);
+    if (loop_delta.valid && !prepared.empty()) {
       // The interleaved row loop has no per-pair hardware attribution; a
       // single-variant loop (the common case) is attributed exactly to
       // that variant, a mixed loop under a shared pseudo-variant rather
       // than over-counting every variant with the full delta.
-      const KernelType kt0 = DispatchKernelType(
-          prepared.front().a, prepared.front().b, /*c_dense=*/false);
-      bool uniform = true;
-      for (const PreparedPair& pp : prepared) {
-        if (DispatchKernelType(pp.a, pp.b, /*c_dense=*/false) != kt0) {
-          uniform = false;
-          break;
-        }
-      }
-      obs::AccumulatePerfMetrics(uniform ? KernelPerfMetricPrefix(kt0)
-                                         : "kernel.mixed_sparse_loop",
-                                 sparse_loop_delta);
+      const KernelType kt0 = prepared.front().kernel;
+      const bool uniform = std::all_of(
+          prepared.begin(), prepared.end(),
+          [kt0](const PreparedPair& pp) { return pp.kernel == kt0; });
+      obs::AccumulatePerfMetrics(
+          uniform ? KernelPerfMetricPrefix(kt0) : "kernel.mixed_loop",
+          loop_delta);
     }
-    if (sparse_loop_start_ns >= 0 && !prepared.empty()) {
+    if (loop_start_ns >= 0 && !prepared.empty()) {
       const std::int64_t dur_ns =
-          obs::TraceRecorder::NowNanos() - sparse_loop_start_ns;
+          obs::TraceRecorder::NowNanos() - loop_start_ns;
       std::vector<obs::TraceArg> loop_args = {
           {"ti", ti},   {"tj", tj},          {"rows", m},
           {"cols", n},  {"node", exec_node}, {"interleaved", 1}};
-      obs::AppendPerfArgs(sparse_loop_delta, &loop_args);
+      obs::AppendPerfArgs(loop_delta, &loop_args);
       for (const PreparedPair& pp : prepared) {
-        const KernelType kt =
-            DispatchKernelType(pp.a, pp.b, /*c_dense=*/false);
         obs::TraceRecorder::Global().RecordComplete(
-            "kernel", KernelTypeName(kt), sparse_loop_start_ns, dur_ns,
+            "kernel", KernelTypeName(pp.kernel), loop_start_ns, dur_ns,
             loop_args);
       }
     }
@@ -645,7 +610,6 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   }
 #endif
   c_tiles[task].set_home_node(exec_node);  // first-touch placement
-  pairs_done = static_cast<index_t>(prepared.size());
 
   for (const PreparedPair& pp : prepared) {
     (pp.a_home == exec_node ? local_read : remote_read) += pp.a_read_bytes;
@@ -656,7 +620,7 @@ void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
   AtMultStats* stats = ctx.stats;
   stats->optimize_seconds += opt_seconds;
   stats->multiply_seconds += mult_seconds;
-  stats->pair_multiplications += pairs_done;
+  stats->pair_multiplications += static_cast<index_t>(prepared.size());
   stats->sparse_to_dense_conversions += to_dense;
   stats->dense_to_sparse_conversions += to_sparse;
   for (int v = 0; v < kNumKernelTypes; ++v) {

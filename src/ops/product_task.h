@@ -1,10 +1,17 @@
 // The tile-granular unit of work of the product executor: one task
-// produces one C tile of one product A * B, running the full per-pair
-// pipeline (window matching, dynamic representation decisions with JIT
-// conversions, kernel dispatch) and closes out its own share of the
-// result: density-map cells, result-tile counts, stats.
+// produces one C tile of one product A * B in two phases, each of which
+// exists once:
 //
-// internal::ExecuteProducts (ops/chain_exec.h) is the only caller. It runs
+//  - plan (PlanTilePairs): window matching and the per-pair representation
+//    decisions. ExplainMultiply runs the same function without executing.
+//  - accumulate: JIT conversions resolve the operands, then one row-block
+//    loop over the C tile seeds its rows and applies every pair in order,
+//    for a dense and a sparse target alike.
+//
+// The task then closes out its own share of the result: density-map cells,
+// result-tile counts, stats.
+//
+// internal::ExecuteProducts (ops/chain_exec.h) is the only executor. It runs
 // a post-order tree of products — a single AtMult::Multiply is a one-node
 // tree — either as one task DAG, where an operand may be a
 // still-materializing intermediate, or as one batch per product. Both
@@ -15,6 +22,7 @@
 #define ATMX_OPS_PRODUCT_TASK_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -83,7 +91,9 @@ class OperandView {
 };
 
 // Everything one product's tile tasks share. The pointers stay owned by
-// the caller and must outlive every RunProductTileTask call.
+// the caller and must outlive every RunProductTileTask call. The planning
+// phase reads only the operands, `block`, the estimate fields,
+// `dynamic_conversion` and `cost_model`.
 struct ProductContext {
   OperandView a;
   OperandView b;
@@ -125,12 +135,58 @@ struct ProductContext {
   bool ledger_enabled = false;
 };
 
+// The C tile of task (ti, tj): its region and its target representation,
+// chosen from the estimated density (Alg. 2 l. 6).
+struct TileTarget {
+  index_t ti = 0;
+  index_t tj = 0;
+  index_t r0 = 0;  // C rows [r0, r1)
+  index_t r1 = 0;
+  index_t c0 = 0;  // C cols [c0, c1)
+  index_t c1 = 0;
+  double rho_c = 0.0;  // estimated density; 0 without estimation
+  bool c_dense = false;
+};
+
+TileTarget PlanTileTarget(const ProductContext& ctx, index_t ti, index_t tj);
+
+// One decided tile pair of a C tile: A tile `a_idx` x B tile `b_idx` over
+// the contraction range [k0, k1).
+struct DecidedPair {
+  index_t a_idx = 0;
+  index_t b_idx = 0;
+  index_t k0 = 0;
+  index_t k1 = 0;
+  MultiplyShape shape;
+  // Whether the tile's other representation already existed when the pair
+  // was decided (always false without dynamic conversion).
+  bool a_cached = false;
+  bool b_cached = false;
+  // Chosen representations and model costs. Without dynamic conversion
+  // these are the stored representations, and both costs are that
+  // kernel's model cost.
+  PairDecision decision;
+};
+
+// The planning phase of one tile task, shared by RunProductTileTask and
+// ExplainMultiply: walks A's row band target.ti against B's col band
+// target.tj (Fig. 4), builds every matching pair's shape, skips windows
+// whose density is zero and decides each pair's representations.
+// `is_converted(b_side, tile_idx)` answers whether an operand tile already
+// has its other representation. `on_pair` receives each decided pair
+// before the next one is decided, so a JIT conversion made for one pair is
+// visible to the next decision.
+void PlanTilePairs(
+    const ProductContext& ctx, const TileTarget& target,
+    const std::function<bool(bool b_side, index_t tile_idx)>& is_converted,
+    const std::function<void(const DecidedPair&)>& on_pair);
+
 // Runs task `task` (= ti * b.num_col_bands() + tj): produces the C tile
 // for row band ti x col band tj into (*ctx.c_tiles)[task], sets the
 // region's cells of *ctx.c_map to the realized densities and accumulates
 // the stats (result-tile counts and the JIT conversions this task made
-// included). `team` provides intra-task
-// parallelism and the locality accounting node.
+// included). `team` provides intra-task parallelism — the task forks it at
+// most once, for the row-block loop — and the locality accounting node.
 void RunProductTileTask(const ProductContext& ctx, WorkerTeam& team,
                         index_t task);
 

@@ -6,8 +6,9 @@
 Generates a small Table I workload with `atmx gen`, multiplies the
 three-matrix chain A*A*A with `atmx decisions --json`, and checks that the
 output is the audit-ledger document with exactly one chain record whose
-plan is non-empty, plus per-pair decision records. Exits non-zero with a
-message on the first failed check.
+plan is non-empty, plus per-pair decision records, and that the chain
+record's `product_ops` names exactly the ops of those pair records. Exits
+non-zero with a message on the first failed check.
 """
 
 import json
@@ -54,6 +55,13 @@ def main():
         fail("a three-matrix chain must record two products")
     if not doc.get("repr"):
         fail("no per-pair decision records")
+    product_ops = chains[0].get("product_ops")
+    repr_ops = {r.get("op") for r in doc["repr"]}
+    if not isinstance(product_ops, list) or len(product_ops) != 2:
+        fail(f"chain record must name its two products' ops: {product_ops!r}")
+    if set(product_ops) != repr_ops:
+        fail(f"chain product_ops {product_ops} do not join the pair "
+             f"records' ops {sorted(repr_ops)}")
     print(f"cli_decisions_smoke: ok (plan {plan}, "
           f"{len(doc['repr'])} pair decisions)")
 

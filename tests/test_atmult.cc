@@ -150,9 +150,8 @@ class AtMultParallelTest : public ::testing::TestWithParam<ParallelCase> {};
 
 TEST_P(AtMultParallelTest, ResultIndependentOfParallelism) {
   AtmConfig config = TestConfig();
-  config.num_worker_teams = GetParam().teams;
-  config.threads_per_team = GetParam().threads;
   config.num_sockets = GetParam().teams;
+  config.cores_per_socket = GetParam().threads;
   CooMatrix a = GenerateDiagonalDenseBlocks(128, 4, 24, 0.9, 500, 13);
   CooMatrix b = RandomCoo(128, 128, 1200, 14);
   ExpectProductMatches(a, b, config);

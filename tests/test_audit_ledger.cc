@@ -397,6 +397,7 @@ AuditLedgerDoc OneOfEachDoc() {
   ch.projected_peak_bytes = (1 << 21) + 512;
   ch.resident_peak_bytes = (1 << 21) - 4096;
   ch.rho_w = {0.03, 0.5, 1.0 / 3.0};
+  ch.product_ops = {5, 6, 7};
   doc.chain.push_back(ch);
   return doc;
 }
@@ -447,6 +448,18 @@ TEST(AuditLedgerJson, RoundTripPreservesEveryField) {
   EXPECT_EQ(doc.chain[0].resident_peak_bytes,
             back.chain[0].resident_peak_bytes);
   EXPECT_EQ(doc.chain[0].rho_w, back.chain[0].rho_w);
+  EXPECT_EQ(doc.chain[0].product_ops, back.chain[0].product_ops);
+}
+
+TEST(AuditLedgerJson, ChainWithoutProductOpsStillLoads) {
+  // Ledgers written before chain records named their products' op ids.
+  auto parsed = ParseAuditLedgerJson(
+      "{\"kind\":\"atmx_audit_ledger\",\"schema_version\":1,"
+      "\"chain\":[{\"op\":3,\"plan\":\"(A0*A1)\",\"rho_w\":[0.5]}]}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(1u, parsed.value().chain.size());
+  EXPECT_EQ(parsed.value().chain[0].op, 3u);
+  EXPECT_TRUE(parsed.value().chain[0].product_ops.empty());
 }
 
 TEST(AuditLedgerJson, ReplayIsDeterministic) {

@@ -208,11 +208,11 @@ TEST(ChainExecuteTest, MatchesReferenceForAnyPlan) {
       {&a.density_map(), &b.density_map(), &c.density_map()}, CostModel(),
       config.rho_write);
   AtMult op(config);
-  AtMultStats stats;
+  ChainExecStats stats;
   ATMatrix result = ExecuteChain({&a, &b, &c}, plan, op, &stats);
   EXPECT_EQ(result.rows(), 40);
   EXPECT_EQ(result.cols(), 48);
-  EXPECT_GT(stats.pair_multiplications, 0);
+  EXPECT_GT(stats.total.pair_multiplications, 0);
 
   DenseMatrix expected = ReferenceMultiply(
       ReferenceMultiply(CooToDense(a_coo), CooToDense(b_coo)),

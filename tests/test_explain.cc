@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "gen/rmat.h"
 #include "gen/synthetic.h"
+#include "obs/obs.h"
+#if defined(ATMX_OBS_ENABLED)
+#include "obs/audit_ledger.h"
+#endif
 #include "ops/atmult.h"
 #include "storage/convert.h"
 #include "tests/test_util.h"
@@ -134,6 +142,123 @@ TEST(ExplainTest, NoEstimationMeansSparseTargets) {
   EXPECT_EQ(plan.dense_target_tiles, 0);
   EXPECT_EQ(plan.estimated_result_nnz, 0.0);
 }
+
+
+#if defined(ATMX_OBS_ENABLED)
+// EXPLAIN and execution share one planner: on one team with a static
+// schedule, ExplainMultiply's pairs are the ledger's repr records pair for
+// pair — tile, contraction range, kernel and the JIT conversions each pair
+// makes — across shape classes and the configurations that change
+// decisions.
+TEST(ExplainTest, PairsMatchLedgerReprRecords) {
+  struct Shape {
+    const char* name;
+    CooMatrix a;
+    CooMatrix b;  // empty rows(): the product is A * A
+  };
+  RmatParams rmat;
+  rmat.rows = rmat.cols = 256;
+  rmat.nnz = 3000;
+  rmat.a = 0.55;
+  rmat.b = 0.15;
+  rmat.c = 0.15;
+  rmat.seed = 5;
+  std::vector<Shape> shapes;
+  shapes.push_back({"banded", GenerateBanded(256, 24, 0.3, 1), CooMatrix()});
+  shapes.push_back({"block", GenerateDiagonalDenseBlocks(192, 3, 48, 0.9,
+                                                         400, 2),
+                    GenerateUniform(192, 192, 2500, 3)});
+  shapes.push_back({"rmat", GenerateRmat(rmat), CooMatrix()});
+  shapes.push_back({"hypersparse", GenerateUniform(512, 512, 300, 4),
+                    CooMatrix()});
+  shapes.push_back({"rectangular", GenerateUniform(160, 256, 1500, 6),
+                    GenerateUniform(256, 96, 2000, 7)});
+  shapes.push_back({"near_threshold_x_dense",
+                    GenerateDiagonalDenseBlocks(96, 3, 32, 0.22, 100, 8),
+                    DenseToCoo(GenerateFullDense(96, 96, 9))});
+  shapes.push_back({"near_threshold_self",
+                    GenerateDiagonalDenseBlocks(64, 2, 32, 0.22, 50, 17),
+                    CooMatrix()});
+
+  struct Variant {
+    const char* name;
+    bool dynamic_conversion;
+    bool density_estimation;
+    bool finite_limit;
+  };
+  const Variant variants[] = {{"default", true, true, false},
+                              {"no_conversion", false, true, false},
+                              {"no_estimation", true, false, false},
+                              {"mem_limit", true, true, true}};
+
+  obs::AuditLedger& ledger = obs::AuditLedger::Global();
+  // Coverage of the sweep: conversions and both target kinds occur.
+  index_t total_conversions = 0, dense_target_pairs = 0,
+          sparse_target_pairs = 0;
+  for (const Shape& shape : shapes) {
+    for (const Variant& v : variants) {
+      SCOPED_TRACE(std::string(shape.name) + "/" + v.name);
+      AtmConfig config = ExplainConfig();
+      config.llc_bytes = 16 * 1024;
+      config.num_sockets = 1;
+      config.cores_per_socket = 1;
+      config.work_stealing = false;
+      config.dynamic_conversion = v.dynamic_conversion;
+      config.density_estimation = v.density_estimation;
+      const ATMatrix a = PartitionToAtm(shape.a, config);
+      const bool self = shape.b.rows() == 0;
+      const ATMatrix b_own =
+          self ? ATMatrix() : PartitionToAtm(shape.b, config);
+      const ATMatrix& b = self ? a : b_own;
+      if (v.finite_limit) {
+        // Half the unconstrained projection: the water level binds.
+        config.result_mem_limit_bytes =
+            ExplainMultiply(a, b, config).estimated_result_bytes / 2 + 1;
+      }
+
+      const MultiplyPlan plan = ExplainMultiply(a, b, config);
+      ledger.Clear();
+      ledger.SetEnabled(true);
+      AtMultStats stats;
+      AtMult(config).Multiply(a, b, &stats);
+      ledger.SetEnabled(false);
+      const std::vector<obs::ReprAuditRecord> repr = ledger.Snapshot().repr;
+      ledger.Clear();
+
+      ASSERT_EQ(plan.pairs.size(), repr.size());
+      ASSERT_EQ(static_cast<index_t>(repr.size()),
+                stats.pair_multiplications);
+      index_t conversions = 0;
+      for (std::size_t i = 0; i < repr.size(); ++i) {
+        const PlannedPair& p = plan.pairs[i];
+        const obs::ReprAuditRecord& r = repr[i];
+        SCOPED_TRACE("pair " + std::to_string(i));
+        EXPECT_EQ(p.ti, r.ti);
+        EXPECT_EQ(p.tj, r.tj);
+        EXPECT_EQ(p.k0, r.k0);
+        EXPECT_EQ(p.k1, r.k1);
+        EXPECT_EQ(static_cast<int>(p.kernel), r.kernel);
+        // A conversion the pair made: its operand runs converted and the
+        // cache held no copy when it was decided. (A diagonal tile of
+        // A * A converted for both sides of one pair would count once in
+        // the plan and twice here; no pair of this sweep does that.)
+        const bool a_converts = r.a_converted() && !r.a_cached;
+        const bool b_converts = r.b_converted() && !r.b_cached;
+        (r.c_dense ? dense_target_pairs : sparse_target_pairs)++;
+        EXPECT_EQ(p.converts_a, a_converts);
+        EXPECT_EQ(p.converts_b, b_converts);
+        conversions += (a_converts ? 1 : 0) + (b_converts ? 1 : 0);
+      }
+      EXPECT_EQ(conversions, stats.sparse_to_dense_conversions +
+                                 stats.dense_to_sparse_conversions);
+      total_conversions += conversions;
+    }
+  }
+  EXPECT_GT(total_conversions, 0);
+  EXPECT_GT(dense_target_pairs, 0);
+  EXPECT_GT(sparse_target_pairs, 0);
+}
+#endif  // ATMX_OBS_ENABLED
 
 }  // namespace
 }  // namespace atmx

@@ -1,7 +1,7 @@
 // Exposition layer: OpenMetrics name mangling and rendering, the flat
-// JSON metrics document (MetricsRegistry::ToJson delegate), the
-// forgiving top-level-number extractor behind `atmx watch`, and the
-// windowed-rate derivation + sampler of obs/snapshot_ring.h.
+// JSON metrics document (MetricsRegistry::ToJson delegate) and reading it
+// back through ParseJson as `atmx watch` does, and the windowed-rate
+// derivation + sampler of obs/snapshot_ring.h.
 
 #include "obs/exposition.h"
 
@@ -22,7 +22,6 @@ namespace atmx {
 namespace {
 
 using obs::DeriveRates;
-using obs::ExtractTopLevelNumbers;
 using obs::MangleMetricName;
 using obs::MetricSample;
 using obs::MetricsRegistry;
@@ -127,40 +126,51 @@ TEST(RenderMetricsJsonTest, MatchesRegistryToJson) {
   EXPECT_EQ(registry.ToJson(), RenderMetricsJson(registry.Snapshot()));
 }
 
-// --- ExtractTopLevelNumbers (the `atmx watch` client half). ---------------
+// --- Reading /metrics.json back (the `atmx watch` client half). ----------
 
-TEST(ExtractTopLevelNumbersTest, ReadsNumbersSkipsNested) {
-  const auto pairs = ExtractTopLevelNumbers(
+// The top-level numeric members of a parsed document, as `atmx watch`
+// reads them: nested objects (histograms), strings and literals skipped.
+std::map<std::string, double> TopLevelNumbers(const obs::JsonValue& doc) {
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : doc.members) {
+    if (value.is_number()) out.emplace(name, value.number_value);
+  }
+  return out;
+}
+
+TEST(MetricsJsonReadBackTest, ReadsNumbersSkipsNested) {
+  auto parsed = obs::ParseJson(
       "{\"a\":1,\n\"hist\":{\"count\":9,\"buckets\":[1,2]},"
       "\"b\":-2.5,\"s\":\"x{y}\",\"flag\":true,\"c\":3e2}");
-  const std::map<std::string, double> got(pairs.begin(), pairs.end());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(parsed.value().is_object());
   const std::map<std::string, double> want = {
       {"a", 1.0}, {"b", -2.5}, {"c", 300.0}};
-  EXPECT_EQ(got, want);
+  EXPECT_EQ(TopLevelNumbers(parsed.value()), want);
 }
 
-TEST(ExtractTopLevelNumbersTest, SurvivesTruncatedAndGarbageInput) {
-  EXPECT_TRUE(ExtractTopLevelNumbers("").empty());
-  EXPECT_TRUE(ExtractTopLevelNumbers("not json").empty());
-  EXPECT_TRUE(ExtractTopLevelNumbers("[1,2,3]").empty());
-  // Truncated mid-value: whatever was complete is returned, no crash.
-  const auto pairs = ExtractTopLevelNumbers("{\"a\":1,\"b\":{\"x\":");
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0].first, "a");
-  EXPECT_DOUBLE_EQ(pairs[0].second, 1.0);
+TEST(MetricsJsonReadBackTest, RejectsTruncatedAndGarbageInput) {
+  // `atmx watch` ends on any of these instead of reading a partial table.
+  EXPECT_FALSE(obs::ParseJson("").ok());
+  EXPECT_FALSE(obs::ParseJson("not json").ok());
+  EXPECT_FALSE(obs::ParseJson("{\"a\":1,\"b\":{\"x\":").ok());
+  // Well-formed but not an object: parses, and carries no members.
+  auto array = obs::ParseJson("[1,2,3]");
+  ASSERT_TRUE(array.ok());
+  EXPECT_FALSE(array.value().is_object());
+  EXPECT_TRUE(TopLevelNumbers(array.value()).empty());
 }
 
-TEST(ExtractTopLevelNumbersTest, RoundTripsRenderedRegistry) {
+TEST(MetricsJsonReadBackTest, RoundTripsRenderedRegistry) {
   MetricsRegistry registry;
   registry.GetCounter("x.count").Add(11);
   registry.GetGauge("y.gauge").Set(0.75);
   registry.GetHistogram("z.hist").Observe(1.0);
-  const auto pairs =
-      ExtractTopLevelNumbers(RenderMetricsJson(registry.Snapshot()));
-  const std::map<std::string, double> got(pairs.begin(), pairs.end());
+  auto parsed = obs::ParseJson(RenderMetricsJson(registry.Snapshot()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   const std::map<std::string, double> want = {
       {"x.count", 11.0}, {"y.gauge", 0.75}};
-  EXPECT_EQ(got, want);  // the histogram object is skipped wholesale
+  EXPECT_EQ(TopLevelNumbers(parsed.value()), want);  // histogram skipped
 }
 
 // --- DeriveRates. ---------------------------------------------------------

@@ -58,7 +58,7 @@
 #include "obs/obs.h"
 #if defined(ATMX_OBS_ENABLED)
 #include "obs/audit_ledger.h"
-#include "obs/exposition.h"
+#include "obs/json_util.h"
 #include "obs/stats_server.h"
 #endif
 #include "ops/atmult.h"
@@ -472,7 +472,7 @@ int CmdProfile(const std::string& a_path, const std::string& b_path) {
   for (int k = 0; k < kNumKernelTypes; ++k) {
     variants.push_back(KernelPerfMetricPrefix(static_cast<KernelType>(k)));
   }
-  variants.push_back("kernel.mixed_sparse_loop");
+  variants.push_back("kernel.mixed_loop");
   variants.push_back("kernel.spmv_csr");
   variants.push_back("kernel.spmv_atm");
   variants.push_back("kernel.spmv_atm_parallel");
@@ -539,11 +539,19 @@ struct WatchSample {
   std::map<std::string, double> values;
 };
 
-WatchSample MakeWatchSample(const std::string& body) {
+// The top-level numeric members of one /metrics.json scrape; nested
+// histogram objects are skipped. A scrape that is not a JSON object is an
+// error.
+Result<WatchSample> MakeWatchSample(const std::string& body) {
+  Result<obs::JsonValue> parsed = obs::ParseJson(body);
+  if (!parsed.ok()) return parsed.status();
+  if (!parsed.value().is_object()) {
+    return Status::InvalidArgument("metrics document is not a JSON object");
+  }
   WatchSample sample;
   sample.when = std::chrono::steady_clock::now();
-  for (auto& [name, value] : obs::ExtractTopLevelNumbers(body)) {
-    sample.values.emplace(std::move(name), value);
+  for (const auto& [name, value] : parsed.value().members) {
+    if (value.is_number()) sample.values.emplace(name, value.number_value);
   }
   return sample;
 }
@@ -592,8 +600,16 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
       }
       return 1;
     }
+    Result<WatchSample> scraped = MakeWatchSample(body.value());
+    if (!scraped.ok()) {
+      // A malformed scrape ends the watch like a dropped connection.
+      std::fprintf(stderr,
+                   "error: watch: unparsable scrape after %d scrapes (%s)\n",
+                   successful_scrapes, scraped.status().ToString().c_str());
+      return 1;
+    }
     ++successful_scrapes;
-    WatchSample sample = MakeWatchSample(body.value());
+    WatchSample sample = std::move(scraped.value());
 
     if (previous) {
       const double dt =
@@ -601,7 +617,8 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
               .count();
       // Rows: every metric that moved since the last scrape, with a
       // client-side delta/s; the server's own windowed `rate.*` gauges
-      // ride along even when momentarily flat so the table keeps shape.
+      // ride along even when momentarily flat so the table keeps shape,
+      // ranked by the per-second rate they carry.
       struct Row {
         const std::string* name;
         double value;
@@ -614,8 +631,9 @@ int CmdWatch(const std::string& url, int interval_ms, int count) {
             old != previous->values.end() ? value - old->second : value;
         const bool is_server_rate = name.rfind("rate.", 0) == 0;
         if (delta == 0.0 && !is_server_rate) continue;
-        rows.push_back(
-            {&name, value, is_server_rate || dt <= 0.0 ? 0.0 : delta / dt});
+        rows.push_back({&name, value,
+                        is_server_rate ? value
+                                       : (dt <= 0.0 ? 0.0 : delta / dt)});
       }
       std::stable_sort(rows.begin(), rows.end(),
                        [](const Row& a, const Row& b) {

@@ -18,7 +18,9 @@ port, and then validates one of three contracts:
   rates    two /metrics.json scrapes taken mid-run must both carry
            rate.* gauges, at least one of which changes between them,
            and sampler.ticks must advance — i.e. the windowed-rate
-           sampler is actually sampling a live process.
+           sampler is actually sampling a live process. With
+           --atmx PATH, `atmx watch` then polls the same endpoint twice
+           and must exit 0 with at least one rate.* row in its table.
 
   flight   a SIGSEGV delivered mid-run must leave a parseable
            atmx_flight_<pid>.json containing the schema marker, the
@@ -335,10 +337,33 @@ def mode_rates(args: argparse.Namespace) -> None:
                  and second["sampler.ticks"] > first["sampler.ticks"])
         if not ticks:
             raise Fail("sampler.ticks did not advance between scrapes")
+        watched = ""
+        if args.atmx:
+            watched = f", atmx watch: {check_watch(args.atmx, port)} rows"
         print(f"rates: ok ({len(changed)} rate gauges moved, e.g. "
-              f"{changed[0]})")
+              f"{changed[0]}{watched})")
     finally:
         bench.kill_and_reap()
+
+
+def check_watch(atmx: str, port: int) -> int:
+    """Runs `atmx watch` for two ticks against the live endpoint; returns
+    the number of rate.* rows its table printed."""
+    cmd = [atmx, "watch", f"http://127.0.0.1:{port}", "--count=2",
+           "--interval=250"]
+    try:
+        done = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired) as e:
+        raise Fail(f"atmx watch did not run: {e}")
+    if done.returncode != 0:
+        raise Fail(f"atmx watch exited {done.returncode}: "
+                   f"{done.stderr.strip()}")
+    rows = [line for line in done.stdout.splitlines()
+            if line.lstrip().startswith("rate.")]
+    if not rows:
+        raise Fail(f"atmx watch printed no rate.* row:\n{done.stdout}")
+    return len(rows)
 
 
 def mode_flight(args: argparse.Namespace) -> None:
@@ -439,6 +464,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="ATMX_STATS_LINGER for the child")
     parser.add_argument("--gap", type=float, default=1.5,
                         help="rates: seconds between the two scrapes")
+    parser.add_argument("--atmx", metavar="PATH",
+                        help="rates: also run `atmx watch` from this "
+                             "binary against the endpoint")
     parser.add_argument("--min-families", type=int, default=5,
                         help="scrape: minimum OpenMetrics families")
     parser.add_argument("--require-metric", action="append", default=[],
